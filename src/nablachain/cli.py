@@ -36,7 +36,7 @@ from .errors import (
     TermLimitError,
 )
 from .fields import dumps_field, eval_at, loads_field, apply_chain
-from .operators import Chain, Meaningful, chain_signature
+from .operators import Meaningful, chain_signature
 from .parser import ParseError, parse
 
 EXIT_OK = 0
@@ -56,10 +56,6 @@ class _Parser(argparse.ArgumentParser):
 def _complain(message: str) -> int:
     print(message, file=sys.stderr)
     return EXIT_USAGE
-
-
-def _parse_chain(text: str) -> Chain:
-    return parse(text)
 
 
 def _load_field(path: str):
@@ -83,7 +79,7 @@ def _parse_point(text: str) -> tuple[Fraction, Fraction, Fraction]:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     try:
-        c = _parse_chain(args.expr)
+        c = parse(args.expr)
     except ParseError as exc:
         return _complain(f"cannot parse chain: {exc}")
     result = classify(c)
@@ -139,7 +135,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_apply(args: argparse.Namespace) -> int:
     try:
-        c = _parse_chain(args.chain)
+        c = parse(args.chain)
     except ParseError as exc:
         return _complain(f"cannot parse chain: {exc}")
     try:

@@ -75,10 +75,11 @@ OrderResult = Union[Order, ExceedsBound]
 def collection_order(kind: CollectionKind, field: FieldValue, max_n: int = DEFAULT_MAX_ORDER) -> OrderResult:
     """Least n <= max_n with the n-fold iterate identically zero.
 
-    The laplacian strictly lowers polynomial degree, so harmonic and
-    vector harmonic orders always resolve for a generous enough bound.
-    The curl preserves degree, so a curling order can legitimately come
-    back as ExceedsBound.
+    On polynomial fields grad, curl and div each lower the degree by at
+    least one and the laplacian by at least two, so every order is at
+    most the field's degree + 1 (1 for the zero field) and resolves once
+    max_n reaches it; below that, any collection can come back as
+    ExceedsBound.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")

@@ -78,9 +78,17 @@ def _checked(value: float, point: Point) -> float:
     return value
 
 
+def _sample(f: Callable[[Point], Sample], point: Point) -> Sample:
+    """f at point, with float overflow reported as a numerical failure."""
+    try:
+        return f(point)
+    except OverflowError as exc:
+        raise NumericalFailureError(f"overflow sampling near {point}: {exc}") from exc
+
+
 def _quotient(f: Callable[[Point], float], axis: int, point: Point, h: float) -> float:
-    upper = _checked(float(f(_shifted(point, axis, h))), point)
-    lower = _checked(float(f(_shifted(point, axis, -h))), point)
+    upper = _checked(float(_sample(f, _shifted(point, axis, h))), point)
+    lower = _checked(float(_sample(f, _shifted(point, axis, -h))), point)
     return (upper - lower) / (2.0 * h)
 
 
@@ -183,8 +191,8 @@ def cross_check(
     rows = []
     worst = 0.0
     for point in points:
-        exact_value = _as_components(exact.eval_float(point))
-        numeric_value = _as_components(numeric.evaluate(point))
+        exact_value = _as_components(_sample(exact.eval_float, point))
+        numeric_value = _as_components(_sample(numeric.evaluate, point))
         for want, got in zip(exact_value, numeric_value):
             deviation = abs(_checked(got, point) - want)
             tolerance = cfg.tolerance(want, depth)

@@ -2,11 +2,20 @@
 
 Scalar fields are sparse multivariate polynomials in x1, x2, x3 with
 rational coefficients, stored as a map from exponent triples to nonzero
-``fractions.Fraction`` values.  Vector fields are triples of such
-polynomials against the standard basis.  All arithmetic is exact, so the
-zero test is decidable: a field is identically zero iff every term map
-is empty.  That is what makes this module usable as ground truth for
-operator identities; floating point never enters.
+coefficients.  An integral coefficient is stored as a plain ``int`` and
+any other as a ``fractions.Fraction``, never as a Fraction with
+denominator 1, so the map is canonical and integer-only work never
+touches Fraction arithmetic.  The public ``Polynomial.terms`` is a
+read-only ``Fraction``-valued view of that map.  Vector fields are
+triples of such polynomials against the standard basis.  All arithmetic
+is exact, so the zero test is decidable: a field is identically zero iff
+every term map is empty.  That is what makes this module usable as
+ground truth for operator identities; floating point never enters.
+
+The public ``Polynomial(terms)`` constructor validates its input.  Every
+operation in this module builds its result through the private
+``Polynomial._trusted``, which checks only the term budget: results of
+operations on valid polynomials are valid by construction.
 
 The JSON exchange format (used by the CLI) is a single document::
 
@@ -22,8 +31,10 @@ triple is an input error rather than a silent merge.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 from .errors import (
@@ -35,43 +46,101 @@ from .errors import (
 from .operators import Chain, Meaningless, Operator, Sort, chain_signature
 
 Exponents = tuple[int, int, int]
+Coefficient = Union[int, Fraction]
 
 # Results larger than this raise TermLimitError; iterated second-order
 # operators shrink polynomials, so only pathological inputs get near it.
 MAX_TERMS = 10**6
 
 
-def _coerce_coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _is_int(value) -> bool:
+    """An int that is not a bool: JSON true/false must not pass as 1/0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _canonical(c: Coefficient) -> Coefficient:
+    """The stored form of a coefficient: int when integral, else Fraction."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
+
+
+def _coerce_coeff(value) -> Coefficient:
+    if isinstance(value, Fraction) or _is_int(value):
+        return _canonical(value)
     raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
+
+
+def _add_partial(acc: dict[Exponents, Coefficient], p: Polynomial, i: int, sign: int) -> None:
+    """Add sign times the partial of p along x_(i+1) into acc, in place."""
+    get = acc.get
+    for e, c in p._terms.items():
+        n = e[i]
+        if n:
+            d = list(e)
+            d[i] = n - 1
+            d = tuple(d)
+            acc[d] = get(d, 0) + sign * n * c
+
+
+def _finish(acc: dict[Exponents, Coefficient]) -> Polynomial:
+    """A polynomial from accumulated sums: zeros dropped, coefficients canonical."""
+    return Polynomial._trusted(
+        {e: c if type(c) is int else _canonical(c) for e, c in acc.items() if c}
+    )
 
 
 class Polynomial:
     """A sparse polynomial in x1, x2, x3 over the rationals.
 
-    Kept canonical at all times: no stored coefficient is zero, so
-    structural equality of the term maps is exact equality of
-    polynomials.  Instances are treated as immutable.
+    Kept canonical at all times: no stored coefficient is zero, and an
+    integral one is a plain ``int``, so structural equality of the term
+    maps is exact equality of polynomials.  ``terms`` exposes the map as
+    a cached read-only view with ``Fraction`` values.  Instances are
+    treated as immutable; ``_trusted`` is the only constructor the
+    module's own operations use.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms", "_view")
 
     def __init__(self, terms: Mapping[Exponents, Union[int, Fraction]] | None = None):
-        canonical: dict[Exponents, Fraction] = {}
+        canonical: dict[Exponents, Coefficient] = {}
         if terms:
             for exps, coeff in terms.items():
                 e = tuple(exps)
-                if len(e) != 3 or any(not isinstance(x, int) or x < 0 for x in e):
+                if len(e) != 3 or any(not _is_int(x) or x < 0 for x in e):
                     raise ValueError(f"exponents must be a triple of non-negative ints, got {exps!r}")
                 c = _coerce_coeff(coeff)
                 if c != 0:
                     canonical[e] = c
         if len(canonical) > MAX_TERMS:
             raise TermLimitError(f"polynomial with {len(canonical)} terms exceeds the {MAX_TERMS} term budget")
-        self.terms = canonical
+        self._terms = canonical
+        self._view = None
+
+    @classmethod
+    def _trusted(cls, terms: dict[Exponents, Coefficient]) -> Polynomial:
+        """Adopt a canonical term map without copying or validating it.
+
+        The caller guarantees the exponents are triples of non-negative
+        ints and every value is a nonzero canonical coefficient; only the
+        term budget is checked.
+        """
+        if len(terms) > MAX_TERMS:
+            raise TermLimitError(f"polynomial with {len(terms)} terms exceeds the {MAX_TERMS} term budget")
+        p = object.__new__(cls)
+        p._terms = terms
+        p._view = None
+        return p
+
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """The term map with every coefficient as a Fraction (read-only)."""
+        if self._view is None:
+            self._view = MappingProxyType(
+                {e: c if type(c) is Fraction else Fraction(c) for e, c in self._terms.items()}
+            )
+        return self._view
 
     @classmethod
     def zero(cls) -> Polynomial:
@@ -96,36 +165,35 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._terms)
 
+    # Equality and hashing read the internal map: n == Fraction(n) and
+    # hash(n) == hash(Fraction(n)), and the map is canonical besides.
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.terms == other.terms
+            return self._terms == other._terms
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            s = merged.get(e, 0) + c
-            if s == 0:
-                merged.pop(e, None)
-            else:
-                merged[e] = s
-        return Polynomial(merged)
+        merged = dict(self._terms)
+        get = merged.get
+        for e, c in other._terms.items():
+            merged[e] = get(e, 0) + c
+        return _finish(merged)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial({e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -134,22 +202,20 @@ class Polynomial:
 
     def __mul__(self, other) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            c = _coerce_coeff(other)
-            return Polynomial({e: c * v for e, v in self.terms.items()})
+            k = _coerce_coeff(other)
+            return _finish({e: k * c for e, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        acc: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = acc.get(e, 0) + c1 * c2
-                if s == 0:
-                    acc.pop(e, None)
-                else:
-                    acc[e] = s
+        acc: dict[Exponents, Coefficient] = {}
+        get = acc.get
+        right = list(other._terms.items())
+        for (a1, b1, c1), k1 in self._terms.items():
+            for (a2, b2, c2), k2 in right:
+                e = (a1 + a2, b1 + b2, c1 + c2)
+                acc[e] = get(e, 0) + k1 * k2
             if len(acc) > MAX_TERMS:
                 raise TermLimitError(f"product exceeds the {MAX_TERMS} term budget")
-        return Polynomial(acc)
+        return _finish(acc)
 
     def __rmul__(self, other) -> Polynomial:
         if isinstance(other, (int, Fraction)):
@@ -168,21 +234,15 @@ class Polynomial:
         """Formal partial derivative along x_axis, axis in {1, 2, 3}."""
         if axis not in (1, 2, 3):
             raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-        i = axis - 1
-        out: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            d = list(e)
-            d[i] -= 1
-            out[tuple(d)] = c * e[i]
-        return Polynomial(out)
+        out: dict[Exponents, Coefficient] = {}
+        _add_partial(out, self, axis - 1, 1)
+        return _finish(out)
 
     def eval(self, point) -> Fraction:
         """Exact evaluation at a point of rationals (or ints)."""
         x1, x2, x3 = (Fraction(v) for v in point)
         total = Fraction(0)
-        for (e1, e2, e3), c in self.terms.items():
+        for (e1, e2, e3), c in self._terms.items():
             total += c * x1**e1 * x2**e2 * x3**e3
         return total
 
@@ -190,15 +250,15 @@ class Polynomial:
         """Floating-point evaluation, for handing to sampled-field code."""
         x1, x2, x3 = (float(v) for v in point)
         total = 0.0
-        for (e1, e2, e3), c in self.terms.items():
+        for (e1, e2, e3), c in self._terms.items():
             total += float(c) * x1**e1 * x2**e2 * x3**e3
         return total
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
-        ordered = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        ordered = sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
         for e, c in ordered:
             powers = [
                 f"x{i + 1}" if k == 1 else f"x{i + 1}^{k}"
@@ -223,6 +283,11 @@ class VectorField:
     f1: Polynomial
     f2: Polynomial
     f3: Polynomial
+
+    def __post_init__(self) -> None:
+        for comp in (self.f1, self.f2, self.f3):
+            if not isinstance(comp, Polynomial):
+                raise TypeError(f"vector field components must be Polynomial, got {type(comp).__name__}")
 
     @property
     def components(self) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -291,25 +356,45 @@ def grad(f: Polynomial) -> VectorField:
 
 
 def curl(v: VectorField) -> VectorField:
-    """Curl: the antisymmetric cross-derivative combination."""
+    """Curl: the antisymmetric cross-derivative combination.
+
+    Each output component is accumulated in one map, with no
+    intermediate polynomials.
+    """
     f1, f2, f3 = v.components
-    return VectorField(
-        f3.partial(2) - f2.partial(3),
-        f1.partial(3) - f3.partial(1),
-        f2.partial(1) - f1.partial(2),
-    )
+    out1: dict[Exponents, Coefficient] = {}
+    out2: dict[Exponents, Coefficient] = {}
+    out3: dict[Exponents, Coefficient] = {}
+    _add_partial(out1, f3, 1, 1)
+    _add_partial(out1, f2, 2, -1)
+    _add_partial(out2, f1, 2, 1)
+    _add_partial(out2, f3, 0, -1)
+    _add_partial(out3, f2, 0, 1)
+    _add_partial(out3, f1, 1, -1)
+    return VectorField(_finish(out1), _finish(out2), _finish(out3))
 
 
 def div(v: VectorField) -> Polynomial:
-    """Divergence: the sum of the component partials."""
-    return v.f1.partial(1) + v.f2.partial(2) + v.f3.partial(3)
+    """Divergence: the sum of the component partials, in one map."""
+    out: dict[Exponents, Coefficient] = {}
+    for i, comp in enumerate(v.components):
+        _add_partial(out, comp, i, 1)
+    return _finish(out)
 
 
 def laplacian(f: Polynomial) -> Polynomial:
-    """div after grad, fused into second partials."""
-    return (
-        f.partial(1).partial(1) + f.partial(2).partial(2) + f.partial(3).partial(3)
-    )
+    """div after grad, fused into one pass of second partials."""
+    out: dict[Exponents, Coefficient] = {}
+    get = out.get
+    for e, c in f._terms.items():
+        for i in range(3):
+            n = e[i]
+            if n > 1:
+                d = list(e)
+                d[i] = n - 2
+                d = tuple(d)
+                out[d] = get(d, 0) + n * (n - 1) * c
+    return _finish(out)
 
 
 def vector_laplacian(v: VectorField) -> VectorField:
@@ -361,15 +446,13 @@ def eval_at(field: FieldValue, point):
 # -- JSON exchange format ----------------------------------------------------
 
 
-def _coeff_to_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def _terms_to_json(p: Polynomial) -> list[dict]:
-    return [
-        {"c": _coeff_to_str(c), "e": list(e)}
-        for e, c in sorted(p.terms.items())
-    ]
+    # str() of a canonical coefficient is "n" for an int and "n/d" for a Fraction.
+    return [{"c": str(c), "e": list(e)} for e, c in sorted(p._terms.items())]
+
+
+# Coefficients the decoder reads with int(); Fraction() reads the rest.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _terms_from_json(entries, where: str) -> Polynomial:
@@ -377,24 +460,29 @@ def _terms_from_json(entries, where: str) -> Polynomial:
         return Polynomial.zero()
     if not isinstance(entries, list):
         raise FieldFormatError(f"{where}: terms must be an array")
-    seen: dict[Exponents, Fraction] = {}
+    seen: dict[Exponents, Coefficient] = {}
     for entry in entries:
         if not isinstance(entry, dict) or "c" not in entry or "e" not in entry:
             raise FieldFormatError(f"{where}: each term needs 'c' and 'e'")
         raw_c, raw_e = entry["c"], entry["e"]
-        if not isinstance(raw_e, list) or len(raw_e) != 3 or any(not isinstance(x, int) or x < 0 for x in raw_e):
+        # The _is_int rule, inlined: this is the decoder's hot loop.
+        if not (
+            isinstance(raw_e, list)
+            and len(raw_e) == 3
+            and all(isinstance(x, int) and type(x) is not bool and x >= 0 for x in raw_e)
+        ):
             raise FieldFormatError(f"{where}: 'e' must be three non-negative integers, got {raw_e!r}")
         if not isinstance(raw_c, str):
             raise FieldFormatError(f"{where}: 'c' must be a string, got {raw_c!r}")
         try:
-            c = Fraction(raw_c)
+            c = int(raw_c) if _INTEGER.fullmatch(raw_c) else _canonical(Fraction(raw_c))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldFormatError(f"{where}: bad coefficient {raw_c!r}") from exc
         e = tuple(raw_e)
         if e in seen:
             raise FieldFormatError(f"{where}: duplicate exponent triple {raw_e!r}")
         seen[e] = c
-    return Polynomial(seen)
+    return _finish(seen)
 
 
 def field_to_json(field: FieldValue) -> dict:

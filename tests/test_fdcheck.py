@@ -190,3 +190,8 @@ def test_cross_check_uses_depth_tolerance():
     exact = 2 * 0.8
     row = report.rows[0]
     assert row.tolerance == pytest.approx(max(DEPTH2_REL_TOL * exact, 1e-9))
+
+
+def test_float_overflow_is_a_numerical_failure():
+    with pytest.raises(NumericalFailureError):
+        cross_check(Chain((G,)), Polynomial({(200, 0, 0): 1}), [(40.0, 0.0, 0.0)])

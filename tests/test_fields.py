@@ -357,3 +357,32 @@ def test_loads_field_rejects_bad_json():
 def test_dumped_json_is_valid_json():
     text = dumps_field(grad(x1 * x1 * x2))
     assert json.loads(text)["kind"] == "vector"
+
+
+# -- booleans are not integers -----------------------------------------------
+
+
+@pytest.mark.parametrize("terms", [{(True, 0, 0): 1}, {(1, 0, False): 1}])
+def test_boolean_exponents_are_rejected(terms):
+    with pytest.raises(ValueError):
+        Polynomial(terms)
+
+
+def test_boolean_coefficients_are_rejected():
+    with pytest.raises(TypeError):
+        Polynomial({(1, 0, 0): True})
+    with pytest.raises(TypeError):
+        x1 * True
+
+
+@pytest.mark.parametrize("exps", ["[true, 0, 0]", "[1, 0, false]"])
+def test_boolean_exponents_are_rejected_by_the_decoder(exps):
+    with pytest.raises(FieldFormatError):
+        loads_field('{"kind": "scalar", "terms": [{"c": "1", "e": %s}]}' % exps)
+
+
+def test_vector_field_components_must_be_polynomials():
+    with pytest.raises(TypeError):
+        VectorField(1, 2, 3)
+    with pytest.raises(TypeError):
+        VectorField(x1, x2, "x3")

@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from nablachain import verify
+from nablachain.cli import main
 
 
 def test_unknown_suite_is_rejected():
@@ -47,3 +51,13 @@ def test_check_results_carry_names_and_details():
     for r in results:
         assert r.name
         assert isinstance(r.detail, str)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"{c['suite']}-{c['seed']}")
+def test_verify_output_matches_golden(case, capsys):
+    argv = ["verify", "--suite", case["suite"], "--seed", str(case["seed"]), "--trials", str(case["trials"])]
+    code = main(argv)
+    assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
