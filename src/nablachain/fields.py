@@ -25,7 +25,8 @@ The JSON exchange format (used by the CLI) is a single document::
 where each component of a vector document is a terms array, "c" is an
 integer or integer-ratio string, and "e" is the exponent triple.  An
 empty or missing terms array denotes the zero field; a repeated exponent
-triple is an input error rather than a silent merge.
+triple, and any key the format does not name, is an input error rather
+than something silently merged or ignored.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ MAX_TERMS = 10**6
 def _is_int(value) -> bool:
     """An int that is not a bool: JSON true/false must not pass as 1/0."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_axis(axis) -> None:
+    if not _is_int(axis) or axis not in (1, 2, 3):
+        raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")
 
 
 def _canonical(c: Coefficient) -> Coefficient:
@@ -148,20 +154,19 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value) -> Polynomial:
-        return cls({(0, 0, 0): Fraction(value)})
+        return cls({(0, 0, 0): value})
 
     @classmethod
     def monomial(cls, exponents: Exponents, coeff=1) -> Polynomial:
-        return cls({tuple(exponents): Fraction(coeff)})
+        return cls({tuple(exponents): coeff})
 
     @classmethod
     def variable(cls, axis: int) -> Polynomial:
         """The coordinate polynomial x_axis, axis in {1, 2, 3}."""
-        if axis not in (1, 2, 3):
-            raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+        _check_axis(axis)
         exps = [0, 0, 0]
         exps[axis - 1] = 1
-        return cls({tuple(exps): Fraction(1)})
+        return cls({tuple(exps): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -232,8 +237,7 @@ class Polynomial:
 
     def partial(self, axis: int) -> Polynomial:
         """Formal partial derivative along x_axis, axis in {1, 2, 3}."""
-        if axis not in (1, 2, 3):
-            raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+        _check_axis(axis)
         out: dict[Exponents, Coefficient] = {}
         _add_partial(out, self, axis - 1, 1)
         return _finish(out)
@@ -438,9 +442,7 @@ def is_zero(field: FieldValue) -> bool:
 
 def eval_at(field: FieldValue, point):
     """Exact evaluation: a Fraction for scalars, a triple for vectors."""
-    if isinstance(field, Polynomial):
-        return field.eval(point)
-    return tuple(comp.eval(point) for comp in field.components)
+    return field.eval(point)
 
 
 # -- JSON exchange format ----------------------------------------------------
@@ -462,8 +464,8 @@ def _terms_from_json(entries, where: str) -> Polynomial:
         raise FieldFormatError(f"{where}: terms must be an array")
     seen: dict[Exponents, Coefficient] = {}
     for entry in entries:
-        if not isinstance(entry, dict) or "c" not in entry or "e" not in entry:
-            raise FieldFormatError(f"{where}: each term needs 'c' and 'e'")
+        if not isinstance(entry, dict) or len(entry) != 2 or "c" not in entry or "e" not in entry:
+            raise FieldFormatError(f"{where}: each term needs exactly the keys 'c' and 'e'")
         raw_c, raw_e = entry["c"], entry["e"]
         # The _is_int rule, inlined: this is the decoder's hot loop.
         if not (
@@ -497,16 +499,20 @@ def field_from_json(doc) -> FieldValue:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FieldFormatError("field document must be an object with a 'kind'")
     kind = doc["kind"]
+    if kind not in ("scalar", "vector"):
+        raise FieldFormatError(f"unknown field kind {kind!r}")
+    body = "terms" if kind == "scalar" else "components"
+    extra = [key for key in doc if key not in ("kind", body)]
+    if extra:
+        raise FieldFormatError(f"{kind} field document has unknown keys {extra!r}")
     if kind == "scalar":
         return _terms_from_json(doc.get("terms"), "scalar terms")
-    if kind == "vector":
-        comps = doc.get("components")
-        if comps is None:
-            return VectorField.zero()
-        if not isinstance(comps, list) or len(comps) != 3:
-            raise FieldFormatError("vector field needs exactly three components")
-        return VectorField(*(_terms_from_json(c, f"component {i + 1}") for i, c in enumerate(comps)))
-    raise FieldFormatError(f"unknown field kind {kind!r}")
+    comps = doc.get("components")
+    if comps is None:
+        return VectorField.zero()
+    if not isinstance(comps, list) or len(comps) != 3:
+        raise FieldFormatError("vector field needs exactly three components")
+    return VectorField(*(_terms_from_json(c, f"component {i + 1}") for i, c in enumerate(comps)))
 
 
 def dumps_field(field: FieldValue) -> str:
@@ -515,7 +521,8 @@ def dumps_field(field: FieldValue) -> str:
 
 def loads_field(text: str) -> FieldValue:
     try:
-        doc = json.loads(text)
+        return field_from_json(json.loads(text))
     except json.JSONDecodeError as exc:
         raise FieldFormatError(f"not valid JSON: {exc}") from exc
-    return field_from_json(doc)
+    except RecursionError as exc:
+        raise FieldFormatError("field document is nested too deeply") from exc

@@ -119,9 +119,7 @@ def chain(*ops: Operator) -> Chain:
 
 def compose_pair(outer: Operator, inner: Operator) -> ChainSignature:
     """Signature of outer applied after inner, or MEANINGLESS."""
-    if outer.domain != inner.codomain:
-        return MEANINGLESS
-    return Meaningful(inner.domain, outer.codomain)
+    return chain_signature(Chain((outer, inner)))
 
 
 def compose_signatures(outer: ChainSignature, inner: ChainSignature) -> ChainSignature:

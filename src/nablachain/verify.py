@@ -8,9 +8,17 @@ linearity, degree bookkeeping, classifier-versus-evaluation agreement),
 facts), and ``oracle`` (exact engine against the finite-difference
 route).
 
-Every check seeds its own generator from the pair (seed, check name),
-so checks are independent of execution order and reports are
-reproducible byte for byte.  Results come back sorted by check name.
+Every check that draws from a generator runs through one runner,
+``_sweep(name, seed, reps, draw, violation)``.  It seeds the generator
+from the pair (seed, check name), so checks are independent of
+execution order and reports are reproducible byte for byte.  For each
+i below reps, ``draw(rng, i)`` builds the i-th input and is the only
+code that consumes the generator; ``violation(input)`` must not consume
+it, and returns None when the claim holds or the failure detail
+otherwise.  Draw order is part of the report format, as it is for the
+corpus itself: because no ``violation`` draws, building a trial's
+inputs before judging any of them yields the same stream as
+interleaving draws with tests.  Results come back sorted by check name.
 The sampling-agreement corpus in the oracle suite pins its fields to
 total degree three regardless of the degree argument: the difference
 quotient's truncation error on higher degrees would swamp the absolute
@@ -23,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable
+from typing import Callable, Optional, TypeVar
 
 from .classify import (
     Family,
@@ -55,6 +63,7 @@ from .corpus import (
 from .errors import MeaninglessChainError, SortMismatchError
 from .fdcheck import FdConfig, as_sampled, cross_check, fd_first_order, fd_partial
 from .fields import (
+    FieldValue,
     Polynomial,
     VectorField,
     apply_chain,
@@ -90,149 +99,124 @@ def _rng(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
 
 
-def _ok(name: str) -> CheckResult:
+_Input = TypeVar("_Input")
+
+
+def _sweep(
+    name: str,
+    seed: int,
+    reps: int,
+    draw: Callable[[random.Random, int], _Input],
+    violation: Callable[[_Input], Optional[str]],
+) -> CheckResult:
+    """Judge reps seeded draws in order; the first violation fails the check."""
+    rng = _rng(seed, name)
+    for i in range(reps):
+        detail = violation(draw(rng, i))
+        if detail is not None:
+            return CheckResult(name, False, detail)
     return CheckResult(name, True)
 
 
-def _fail(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, False, detail)
+def _draw_field(rng: random.Random, sort: Sort, degree: int) -> FieldValue:
+    if sort is Sort.SCALAR:
+        return random_polynomial(rng, degree)
+    return random_vector_field(rng, degree)
+
+
+def _draw_points(rng: random.Random) -> list[tuple[float, float, float]]:
+    return [random_point(rng, -1.0, 1.0) for _ in range(10)]
+
+
+# The rotation field (-x2, x1, 0): curl is a nonzero constant, so its
+# curling order is exactly 2.
+_ROTATION = VectorField(-Polynomial.variable(2), Polynomial.variable(1), Polynomial.zero())
 
 
 # -- identities --------------------------------------------------------------
 
 
-def _check_curl_after_grad(trials: int, seed: int, degree: int) -> CheckResult:
-    name = "annihilation curl after grad"
-    rng = _rng(seed, name)
-    for _ in range(trials):
-        f = random_polynomial(rng, degree)
-        if not curl(grad(f)).is_zero:
-            return _fail(name, f"f = {f!r}")
-    return _ok(name)
-
-
-def _check_div_after_curl(trials: int, seed: int, degree: int) -> CheckResult:
-    name = "annihilation div after curl"
-    rng = _rng(seed, name)
-    for _ in range(trials):
-        v = random_vector_field(rng, degree)
-        if not div(curl(v)).is_zero:
-            return _fail(name, f"v = {v!r}")
-    return _ok(name)
-
-
-def _trivial_order3_chains() -> list[Chain]:
-    return [
-        c
-        for c in meaningful_chains(3)
-        if isinstance(classify(c), TrivialZero)
-    ]
-
-
-def _check_third_order_zero(c: Chain, trials: int, seed: int, degree: int) -> CheckResult:
-    name = f"third-order zero: {format_chain(c)}"
-    rng = _rng(seed, name)
-    sig = chain_signature(c)
-    assert isinstance(sig, Meaningful)
-    for _ in range(trials):
-        field = (
-            random_polynomial(rng, degree)
-            if sig.input is Sort.SCALAR
-            else random_vector_field(rng, degree)
-        )
-        if not apply_chain(c, field).is_zero:
-            return _fail(name, f"input = {field!r}")
-    return _ok(name)
-
-
-def _check_curl_curl_decomposition(trials: int, seed: int, degree: int) -> CheckResult:
-    name = "curl of curl decomposition"
-    rng = _rng(seed, name)
-    for _ in range(trials):
-        v = random_vector_field(rng, degree)
-        if curl(curl(v)) != grad(div(v)) - vector_laplacian(v):
-            return _fail(name, f"v = {v!r}")
-    return _ok(name)
-
-
 def _check_linearity(trials: int, seed: int, degree: int) -> CheckResult:
-    name = "chain linearity"
-    rng = _rng(seed, name)
+    """Input i tests pair i % pairs of chain i // pairs."""
     chains = [c for n in (1, 2, 3) for c in meaningful_chains(n)]
     pairs = max(1, trials // 20)
-    for c in chains:
-        sig = chain_signature(c)
-        assert isinstance(sig, Meaningful)
-        for _ in range(pairs):
-            if sig.input is Sort.SCALAR:
-                u: object = random_polynomial(rng, degree)
-                w: object = random_polynomial(rng, degree)
-            else:
-                u = random_vector_field(rng, degree)
-                w = random_vector_field(rng, degree)
-            a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            lhs = apply_chain(c, a * u + b * w)
-            rhs = a * apply_chain(c, u) + b * apply_chain(c, w)
-            if lhs != rhs:
-                return _fail(name, f"chain {format_chain(c)}, u = {u!r}, w = {w!r}")
-    return _ok(name)
+
+    def draw(rng, i):
+        c = chains[i // pairs]
+        u = _draw_field(rng, c.innermost.domain, degree)
+        w = _draw_field(rng, c.innermost.domain, degree)
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return c, u, w, a, b
+
+    def violation(case):
+        c, u, w, a, b = case
+        if apply_chain(c, a * u + b * w) == a * apply_chain(c, u) + b * apply_chain(c, w):
+            return None
+        return f"chain {format_chain(c)}, u = {u!r}, w = {w!r}"
+
+    return _sweep("chain linearity", seed, len(chains) * pairs, draw, violation)
 
 
-def _vector_degree(v: VectorField) -> int:
-    return max(comp.degree() for comp in v.components)
+def _degree(field: FieldValue) -> int:
+    if isinstance(field, Polynomial):
+        return field.degree()
+    return max(comp.degree() for comp in field.components)
 
 
 def _check_degree_step(op: Operator, trials: int, seed: int, degree: int) -> CheckResult:
-    name = f"degree step {op.value}"
-    rng = _rng(seed, name)
-    for _ in range(trials):
+    """grad lowers a nonconstant scalar's degree by exactly one; curl and div by at least one."""
+
+    def violation(field):
+        out = apply_operator(op, field)
         if op is Operator.GRAD:
-            f = random_polynomial(rng, degree)
-            if f.degree() < 1:
-                continue
-            out = grad(f)
-            if out.is_zero or _vector_degree(out) != f.degree() - 1:
-                return _fail(name, f"f = {f!r}")
+            holds = field.degree() < 1 or (not out.is_zero and _degree(out) == field.degree() - 1)
         else:
-            v = random_vector_field(rng, degree)
-            out = apply_operator(op, v)
-            if out.is_zero:
-                continue
-            before = _vector_degree(v)
-            after = out.degree() if isinstance(out, Polynomial) else _vector_degree(out)
-            if after > before - 1:
-                return _fail(name, f"v = {v!r}")
-    return _ok(name)
+            holds = out.is_zero or _degree(out) <= _degree(field) - 1
+        return None if holds else f"{'f' if op is Operator.GRAD else 'v'} = {field!r}"
+
+    return _sweep(f"degree step {op.value}", seed, trials,
+                  lambda rng, i: _draw_field(rng, op.domain, degree), violation)
 
 
-def _check_classifier_agreement(trials: int, seed: int, degree: int) -> CheckResult:
+def _check_classifier_agreement(seed: int) -> CheckResult:
     name = "classifier evaluation agreement"
     scalars, vectors = witness_corpus(seed)
     for n in range(1, 6):
         for c in meaningful_chains(n):
-            sig = chain_signature(c)
-            assert isinstance(sig, Meaningful)
-            witnesses = scalars if sig.input is Sort.SCALAR else vectors
+            witnesses = scalars if c.innermost.domain is Sort.SCALAR else vectors
             all_zero = all(apply_chain(c, w).is_zero for w in witnesses)
             is_trivial = isinstance(classify(c), TrivialZero)
             if is_trivial != all_zero:
-                return _fail(name, f"chain {format_chain(c)}")
-    return _ok(name)
+                return CheckResult(name, False, f"chain {format_chain(c)}")
+    return CheckResult(name, True)
 
 
 def run_identities(trials: int, seed: int, degree: int) -> list[CheckResult]:
+    def scalar(rng, i):
+        return random_polynomial(rng, degree)
+
+    def vector(rng, i):
+        return random_vector_field(rng, degree)
+
     results = [
-        _check_curl_after_grad(trials, seed, degree),
-        _check_div_after_curl(trials, seed, degree),
-        _check_curl_curl_decomposition(trials, seed, degree),
+        _sweep("annihilation curl after grad", seed, trials, scalar,
+               lambda f: None if curl(grad(f)).is_zero else f"f = {f!r}"),
+        _sweep("annihilation div after curl", seed, trials, vector,
+               lambda v: None if div(curl(v)).is_zero else f"v = {v!r}"),
+        _sweep("curl of curl decomposition", seed, trials, vector,
+               lambda v: None if curl(curl(v)) == grad(div(v)) - vector_laplacian(v) else f"v = {v!r}"),
         _check_linearity(trials, seed, degree),
-        _check_classifier_agreement(trials, seed, degree),
+        _check_classifier_agreement(seed),
     ]
-    for c in _trivial_order3_chains():
-        results.append(_check_third_order_zero(c, trials, seed, degree))
-    for op in Operator:
-        results.append(_check_degree_step(op, trials, seed, degree))
+    for c in meaningful_chains(3):
+        if isinstance(classify(c), TrivialZero):
+            results.append(_sweep(
+                f"third-order zero: {format_chain(c)}", seed, trials,
+                lambda rng, i: _draw_field(rng, c.innermost.domain, degree),
+                lambda field: None if apply_chain(c, field).is_zero else f"input = {field!r}",
+            ))
+    results += [_check_degree_step(op, trials, seed, degree) for op in Operator]
     return results
 
 
@@ -241,20 +225,10 @@ def run_identities(trials: int, seed: int, degree: int) -> list[CheckResult]:
 _UNDEFINED = object()
 
 
-def _left_grouped(triple: tuple[Operator, Operator, Operator], field):
-    """((outer after middle) after inner) applied to field."""
+def _grouped(outer: tuple[Operator, ...], inner: tuple[Operator, ...], field):
+    """outer applied after inner, or _UNDEFINED when either step has no value."""
     try:
-        first = apply_operator(triple[2], field)
-        return apply_chain(Chain((triple[0], triple[1])), first)
-    except (MeaninglessChainError, SortMismatchError):
-        return _UNDEFINED
-
-
-def _right_grouped(triple: tuple[Operator, Operator, Operator], field):
-    """(outer after (middle after inner)) applied to field."""
-    try:
-        first = apply_chain(Chain((triple[1], triple[2])), field)
-        return apply_operator(triple[0], first)
+        return apply_chain(Chain(outer), apply_chain(Chain(inner), field))
     except (MeaninglessChainError, SortMismatchError):
         return _UNDEFINED
 
@@ -267,34 +241,27 @@ def _check_grouping_signatures() -> CheckResult:
         right = compose_signatures(sigs[0], compose_signatures(sigs[1], sigs[2]))
         flat = chain_signature(Chain(triple))
         if not (left == right == flat):
-            return _fail(name, f"triple {format_chain(Chain(triple))}")
-    return _ok(name)
+            return CheckResult(name, False, f"triple {format_chain(Chain(triple))}")
+    return CheckResult(name, True)
 
 
 def _check_grouping_values(sort: Sort, trials: int, seed: int, degree: int) -> CheckResult:
-    name = f"grouping values agree on {sort.value}s"
-    rng = _rng(seed, name)
-    inputs_per_triple = max(1, min(trials, 10))
-    for triple in product(Operator, repeat=3):
-        for _ in range(inputs_per_triple):
-            field = (
-                random_polynomial(rng, degree)
-                if sort is Sort.SCALAR
-                else random_vector_field(rng, degree)
-            )
-            left = _left_grouped(triple, field)
-            right = _right_grouped(triple, field)
-            if (left is _UNDEFINED) != (right is _UNDEFINED):
-                return _fail(
-                    name,
-                    f"triple {format_chain(Chain(triple))}: one grouping undefined",
-                )
-            if left is not _UNDEFINED and left != right:
-                return _fail(
-                    name,
-                    f"triple {format_chain(Chain(triple))}, input = {field!r}",
-                )
-    return _ok(name)
+    """Input i applies triple i // per to its own field."""
+    triples = list(product(Operator, repeat=3))
+    per = max(1, min(trials, 10))
+
+    def violation(case):
+        triple, field = case
+        left = _grouped(triple[:2], triple[2:], field)
+        right = _grouped(triple[:1], triple[1:], field)
+        if (left is _UNDEFINED) != (right is _UNDEFINED):
+            return f"triple {format_chain(Chain(triple))}: one grouping undefined"
+        if left is not _UNDEFINED and left != right:
+            return f"triple {format_chain(Chain(triple))}, input = {field!r}"
+        return None
+
+    return _sweep(f"grouping values agree on {sort.value}s", seed, len(triples) * per,
+                  lambda rng, i: (triples[i // per], _draw_field(rng, sort, degree)), violation)
 
 
 def run_associativity(trials: int, seed: int, degree: int) -> list[CheckResult]:
@@ -308,51 +275,24 @@ def run_associativity(trials: int, seed: int, degree: int) -> list[CheckResult]:
 # -- examples ----------------------------------------------------------------
 
 
-def _check_harmonic_products_vanish(trials: int, seed: int, degree: int) -> CheckResult:
-    name = "third-order products vanish on harmonic inputs"
-    rng = _rng(seed, name)
-    for _ in range(trials):
-        f = random_harmonic_polynomial(rng)
-        v = random_vector_harmonic_field(rng)
-        report = third_order_annihilation_report(f, v)
-        bad = [text for text, vanished in report.items() if not vanished]
-        if bad:
-            return _fail(name, f"chain {bad[0]}, f = {f!r}, v = {v!r}")
-    return _ok(name)
+def _harmonic_products_violation(case: tuple[Polynomial, VectorField]) -> Optional[str]:
+    f, v = case
+    bad = [text for text, vanished in third_order_annihilation_report(f, v).items() if not vanished]
+    return f"chain {bad[0]}, f = {f!r}, v = {v!r}" if bad else None
 
 
-def _check_coordinate_multiple_identity(trials: int, seed: int, degree: int) -> CheckResult:
-    name = "laplacian power of coordinate multiple"
-    rng = _rng(seed, name)
-    for i in range(trials):
-        f = random_polynomial(rng, degree)
-        axis = 1 + i % 3
+def _check_multiplication_identity(
+    name: str, identity: Callable[[Polynomial, int, int], bool], trials: int, seed: int, degree: int
+) -> CheckResult:
+    def violation(case):
+        f, axis = case
         for n in (1, 2, 3, 4):
-            if not check_coordinate_multiple(f, n, axis):
-                return _fail(name, f"f = {f!r}, n = {n}, axis = {axis}")
-    return _ok(name)
+            if not identity(f, n, axis):
+                return f"f = {f!r}, n = {n}, axis = {axis}"
+        return None
 
-
-def _check_squared_coordinate_identity(trials: int, seed: int, degree: int) -> CheckResult:
-    name = "laplacian power of squared-coordinate multiple"
-    rng = _rng(seed, name)
-    for i in range(trials):
-        f = random_polynomial(rng, degree)
-        axis = 1 + i % 3
-        for n in (1, 2, 3, 4):
-            if not check_squared_coordinate_multiple(f, n, axis):
-                return _fail(name, f"f = {f!r}, n = {n}, axis = {axis}")
-    return _ok(name)
-
-
-def _check_vector_harmonic_swap(trials: int, seed: int, degree: int) -> CheckResult:
-    name = "curl of curl equals grad of div on vector harmonics"
-    rng = _rng(seed, name)
-    for _ in range(trials):
-        v = random_vector_harmonic_field(rng)
-        if not check_vector_harmonic_swap(v):
-            return _fail(name, f"v = {v!r}")
-    return _ok(name)
+    return _sweep(name, seed, trials,
+                  lambda rng, i: (random_polynomial(rng, degree), 1 + i % 3), violation)
 
 
 def _check_order_witnesses() -> CheckResult:
@@ -365,76 +305,80 @@ def _check_order_witnesses() -> CheckResult:
         (CollectionKind.HARMONIC, x1 * x1 - x2 * x2, 1),
         (CollectionKind.HARMONIC, r2, 2),
         (CollectionKind.HARMONIC, r2 * r2, 3),
-        (
-            CollectionKind.CURLING,
-            VectorField(-x2, x1, Polynomial.zero()),
-            2,
-        ),
+        (CollectionKind.CURLING, _ROTATION, 2),
     ]
     for kind, field, want in cases:
         got = collection_order(kind, field, 10)
         if got != Order(want):
-            return _fail(name, f"{kind.value} of {field!r}: got {got!r}")
-    return _ok(name)
+            return CheckResult(name, False, f"{kind.value} of {field!r}: got {got!r}")
+    return CheckResult(name, True)
 
 
 def _check_multiplier_keeps_membership(
     multiplier: Polynomial, label: str, trials: int, seed: int
 ) -> CheckResult:
-    name = f"{label} multiple stays polyharmonic"
-    rng = _rng(seed, name)
-    reps = max(1, trials // 2)
-    for _ in range(reps):
-        for n in (2, 3):
-            f = random_polyharmonic_of_order(rng, n - 1)
-            got = collection_order(CollectionKind.HARMONIC, multiplier * f, 10)
-            if not (isinstance(got, Order) and got.n <= n):
-                return _fail(name, f"f = {f!r}, n = {n}, got {got!r}")
-    return _ok(name)
+    """Inputs alternate between orders n = 2 and n = 3."""
+
+    def draw(rng, i):
+        n = 2 + i % 2
+        return random_polyharmonic_of_order(rng, n - 1), n
+
+    def violation(case):
+        f, n = case
+        got = collection_order(CollectionKind.HARMONIC, multiplier * f, 10)
+        if isinstance(got, Order) and got.n <= n:
+            return None
+        return f"f = {f!r}, n = {n}, got {got!r}"
+
+    reps = 2 * max(1, trials // 2)
+    return _sweep(f"{label} multiple stays polyharmonic", seed, reps, draw, violation)
 
 
-def _check_iterate_ladder(trials: int, seed: int, degree: int) -> CheckResult:
-    name = "iterate order ladder"
-    rng = _rng(seed, name)
-    rot = VectorField(
-        -Polynomial.variable(2), Polynomial.variable(1), Polynomial.zero()
+def _draw_ladder(rng: random.Random, i: int):
+    scalars = [random_polyharmonic_of_order(rng, k) for k in (1, 2, 3)]
+    swirl = _ROTATION + grad(random_polynomial(rng, 3))
+    w = VectorField(
+        random_polyharmonic_of_order(rng, 2),
+        random_harmonic_polynomial(rng),
+        random_harmonic_polynomial(rng),
     )
-    reps = max(1, trials // 10)
-    for _ in range(reps):
-        for k in (1, 2, 3):
-            f = random_polyharmonic_of_order(rng, k)
-            if collection_order(CollectionKind.HARMONIC, f, 8) != Order(k):
-                return _fail(name, f"scalar f = {f!r}, expected order {k}")
-            for m in range(1, k + 1):
-                step = nontrivial_chain(Family.GRAD_DIV_ALTERNATING, 2 * m)
-                if annihilates(step, f) != (m >= k):
-                    return _fail(name, f"f = {f!r}, iterate {m} of {k}")
-        g = random_polynomial(rng, 3)
-        swirl = rot + grad(g)
-        if collection_order(CollectionKind.CURLING, swirl, 8) != Order(2):
-            return _fail(name, f"v = {swirl!r}, expected curling order 2")
-        if annihilates(nontrivial_chain(Family.CURL_POWER, 1), swirl):
-            return _fail(name, f"v = {swirl!r}: first curl vanished early")
-        if not annihilates(nontrivial_chain(Family.CURL_POWER, 2), swirl):
-            return _fail(name, f"v = {swirl!r}: second curl did not vanish")
-        w = VectorField(
-            random_polyharmonic_of_order(rng, 2),
-            random_harmonic_polynomial(rng),
-            random_harmonic_polynomial(rng),
-        )
-        if collection_order(CollectionKind.VECTOR_HARMONIC, w, 8) != Order(2):
-            return _fail(name, f"w = {w!r}, expected vector order 2")
-        if not vector_laplacian(vector_laplacian(w)).is_zero:
-            return _fail(name, f"w = {w!r}: second iterate nonzero")
-    return _ok(name)
+    return scalars, swirl, w
+
+
+def _ladder_violation(case) -> Optional[str]:
+    scalars, swirl, w = case
+    for k, f in enumerate(scalars, 1):
+        if collection_order(CollectionKind.HARMONIC, f, 8) != Order(k):
+            return f"scalar f = {f!r}, expected order {k}"
+        for m in range(1, k + 1):
+            step = nontrivial_chain(Family.GRAD_DIV_ALTERNATING, 2 * m)
+            if annihilates(step, f) != (m >= k):
+                return f"f = {f!r}, iterate {m} of {k}"
+    if collection_order(CollectionKind.CURLING, swirl, 8) != Order(2):
+        return f"v = {swirl!r}, expected curling order 2"
+    if annihilates(nontrivial_chain(Family.CURL_POWER, 1), swirl):
+        return f"v = {swirl!r}: first curl vanished early"
+    if not annihilates(nontrivial_chain(Family.CURL_POWER, 2), swirl):
+        return f"v = {swirl!r}: second curl did not vanish"
+    if collection_order(CollectionKind.VECTOR_HARMONIC, w, 8) != Order(2):
+        return f"w = {w!r}, expected vector order 2"
+    if not vector_laplacian(vector_laplacian(w)).is_zero:
+        return f"w = {w!r}: second iterate nonzero"
+    return None
 
 
 def run_examples(trials: int, seed: int, degree: int) -> list[CheckResult]:
     return [
-        _check_harmonic_products_vanish(trials, seed, degree),
-        _check_coordinate_multiple_identity(trials, seed, degree),
-        _check_squared_coordinate_identity(trials, seed, degree),
-        _check_vector_harmonic_swap(trials, seed, degree),
+        _sweep("third-order products vanish on harmonic inputs", seed, trials,
+               lambda rng, i: (random_harmonic_polynomial(rng), random_vector_harmonic_field(rng)),
+               _harmonic_products_violation),
+        _check_multiplication_identity("laplacian power of coordinate multiple",
+                                       check_coordinate_multiple, trials, seed, degree),
+        _check_multiplication_identity("laplacian power of squared-coordinate multiple",
+                                       check_squared_coordinate_multiple, trials, seed, degree),
+        _sweep("curl of curl equals grad of div on vector harmonics", seed, trials,
+               lambda rng, i: random_vector_harmonic_field(rng),
+               lambda v: None if check_vector_harmonic_swap(v) else f"v = {v!r}"),
         _check_order_witnesses(),
         _check_multiplier_keeps_membership(
             Polynomial.variable(1), "coordinate", trials, seed
@@ -442,7 +386,7 @@ def run_examples(trials: int, seed: int, degree: int) -> list[CheckResult]:
         _check_multiplier_keeps_membership(
             radius_squared(), "radius-squared", trials, seed
         ),
-        _check_iterate_ladder(trials, seed, degree),
+        _sweep("iterate order ladder", seed, max(1, trials // 10), _draw_ladder, _ladder_violation),
     ]
 
 
@@ -454,30 +398,23 @@ _AGREEMENT_DEGREE = 3
 
 
 def _check_sampling_agreement(op: Operator, trials: int, seed: int) -> CheckResult:
-    name = f"{op.value} sampling agreement"
-    rng = _rng(seed, name)
-    cfg = _AGREEMENT_CFG
-    for _ in range(trials):
-        field = (
-            random_polynomial(rng, _AGREEMENT_DEGREE)
-            if op.domain is Sort.SCALAR
-            else random_vector_field(rng, _AGREEMENT_DEGREE)
-        )
+    def violation(case):
+        field, points = case
         exact = apply_operator(op, field)
         sampled = as_sampled(field)
-        for _ in range(10):
-            point = random_point(rng, -1.0, 1.0)
+        for point in points:
             want = exact.eval_float(point)
-            got = fd_first_order(op, sampled, point, cfg)
+            got = fd_first_order(op, sampled, point, _AGREEMENT_CFG)
             want_parts = want if isinstance(want, tuple) else (want,)
             got_parts = got if isinstance(got, tuple) else (got,)
             for w, g in zip(want_parts, got_parts):
-                if abs(g - w) > cfg.tolerance(w):
-                    return _fail(
-                        name,
-                        f"field = {field!r}, point = {point}, |{g} - {w}|",
-                    )
-    return _ok(name)
+                if abs(g - w) > _AGREEMENT_CFG.tolerance(w):
+                    return f"field = {field!r}, point = {point}, |{g} - {w}|"
+        return None
+
+    return _sweep(f"{op.value} sampling agreement", seed, trials,
+                  lambda rng, i: (_draw_field(rng, op.domain, _AGREEMENT_DEGREE), _draw_points(rng)),
+                  violation)
 
 
 def _check_step_convergence() -> CheckResult:
@@ -491,38 +428,24 @@ def _check_step_convergence() -> CheckResult:
     ]
     ratio = errors[0] / errors[1]
     if not 25.0 <= ratio <= 400.0:
-        return _fail(name, f"error ratio {ratio} outside [25, 400]")
-    return _ok(name)
+        return CheckResult(name, False, f"error ratio {ratio} outside [25, 400]")
+    return CheckResult(name, True)
 
 
-def _check_nested_cross(seed: int) -> CheckResult:
-    name = "nested laplacian cross-check"
-    rng = _rng(seed, name)
-    points = [random_point(rng, -1.0, 1.0) for _ in range(10)]
-    report = cross_check(chain(Operator.DIV, Operator.GRAD), radius_squared(), points)
-    if not report.passed:
-        return _fail(name, f"max deviation {report.max_deviation}")
-    return _ok(name)
+def _check_cross(name: str, c: Chain, field: FieldValue, seed: int) -> CheckResult:
+    def violation(points):
+        report = cross_check(c, field, points)
+        return None if report.passed else f"max deviation {report.max_deviation}"
 
-
-def _check_first_order_cross(seed: int) -> CheckResult:
-    name = "first-order curl cross-check"
-    rng = _rng(seed, name)
-    x1 = Polynomial.variable(1)
-    x2 = Polynomial.variable(2)
-    field = VectorField(-x2, x1, Polynomial.zero())
-    points = [random_point(rng, -1.0, 1.0) for _ in range(10)]
-    report = cross_check(chain(Operator.CURL), field, points)
-    if not report.passed:
-        return _fail(name, f"max deviation {report.max_deviation}")
-    return _ok(name)
+    return _sweep(name, seed, 1, lambda rng, i: _draw_points(rng), violation)
 
 
 def run_oracle(trials: int, seed: int, degree: int) -> list[CheckResult]:
     results = [_check_sampling_agreement(op, trials, seed) for op in Operator]
     results.append(_check_step_convergence())
-    results.append(_check_nested_cross(seed))
-    results.append(_check_first_order_cross(seed))
+    results.append(_check_cross("nested laplacian cross-check", chain(Operator.DIV, Operator.GRAD),
+                                radius_squared(), seed))
+    results.append(_check_cross("first-order curl cross-check", chain(Operator.CURL), _ROTATION, seed))
     return results
 
 

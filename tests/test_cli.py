@@ -299,3 +299,10 @@ def test_run_wraps_main(monkeypatch, capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("nontrivial")
+
+
+def test_apply_deeply_nested_document(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    assert main(["apply", "--chain", "grad", "--field", str(path)]) == 1
+    assert "nested too deeply" in capsys.readouterr().err

@@ -386,3 +386,45 @@ def test_vector_field_components_must_be_polynomials():
         VectorField(1, 2, 3)
     with pytest.raises(TypeError):
         VectorField(x1, x2, "x3")
+
+
+# -- named constructors validate like the public constructor -----------------
+
+
+@pytest.mark.parametrize("value", [0.1, "1/3", True])
+def test_constant_and_monomial_reject_non_rational_coefficients(value):
+    with pytest.raises(TypeError):
+        Polynomial.constant(value)
+    with pytest.raises(TypeError):
+        Polynomial.monomial((1, 0, 0), value)
+
+
+@pytest.mark.parametrize("axis", [1.0, "1", True])
+def test_variable_and_partial_reject_non_int_axes(axis):
+    with pytest.raises(ValueError):
+        Polynomial.variable(axis)
+    with pytest.raises(ValueError):
+        x1.partial(axis)
+
+
+# -- the decoder accepts only the documented keys ----------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "scalar", "components": [[], [], []], "terms": [{"c": "1", "e": [0, 0, 0]}]}',
+        '{"kind": "vector", "terms": [{"c": "1", "e": [0, 0, 0]}]}',
+        '{"kind": "scalar", "terms": [{"c": "1", "e": [0, 0, 0], "x": 5}]}',
+        '{"kind": "vector", "components": [[], [], [{"c": "1", "e": [0, 0, 0], "c2": "2"}]]}',
+    ],
+    ids=["scalar-document", "vector-document", "scalar-term", "vector-term"],
+)
+def test_unknown_keys_are_rejected(text):
+    with pytest.raises(FieldFormatError):
+        loads_field(text)
+
+
+def test_deeply_nested_json_is_a_format_error():
+    with pytest.raises(FieldFormatError, match="nested too deeply"):
+        loads_field("[" * 100000)

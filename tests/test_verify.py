@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from nablachain import verify
+from nablachain import fields, verify
 from nablachain.cli import main
 
 
@@ -58,6 +58,21 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"{c['suite']}-{c['seed']}")
 def test_verify_output_matches_golden(case, capsys):
+    argv = ["verify", "--suite", case["suite"], "--seed", str(case["seed"]), "--trials", str(case["trials"])]
+    code = main(argv)
+    assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+
+
+BROKEN_CURL_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "verify_golden_broken_curl.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", BROKEN_CURL_GOLDEN, ids=lambda c: f"{c['suite']}-{c['seed']}")
+def test_verify_failure_output_matches_golden(case, capsys, monkeypatch):
+    """A curl that ignores its minus signs fails the same checks with the same details."""
+    add_partial = fields._add_partial
+    monkeypatch.setattr(fields, "_add_partial", lambda acc, p, i, sign: add_partial(acc, p, i, 1))
     argv = ["verify", "--suite", case["suite"], "--seed", str(case["seed"]), "--trials", str(case["trials"])]
     code = main(argv)
     assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
