@@ -3,7 +3,9 @@
 Exit codes are a scripting contract: 0 success, 1 usage or input error,
 2 a meaningless chain was supplied where a value was required, 3 a
 verification suite found a violated identity.  Results go to stdout,
-diagnostics to stderr.
+diagnostics to stderr.  The ``cmd_*`` functions only call the library and
+print, and let errors propagate; ``main`` alone turns an exception into an
+exit code and a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -29,12 +31,7 @@ from .collections import (
     Order,
     collection_order,
 )
-from .errors import (
-    FieldFormatError,
-    MeaninglessChainError,
-    SortMismatchError,
-    TermLimitError,
-)
+from .errors import FieldFormatError, MeaninglessChainError, NablachainError
 from .fields import dumps_field, eval_at, loads_field, apply_chain
 from .operators import Meaningful, chain_signature
 from .parser import ParseError, parse
@@ -53,15 +50,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _complain(message: str) -> int:
-    print(message, file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _load_field(path: str):
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FieldFormatError(f"cannot read {path}: {exc}") from exc
     return loads_field(raw)
 
@@ -78,10 +70,7 @@ def _parse_point(text: str) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        c = parse(args.expr)
-    except ParseError as exc:
-        return _complain(f"cannot parse chain: {exc}")
+    c = parse(args.expr)
     result = classify(c)
     if isinstance(result, TrivialZero):
         i = result.witness_index
@@ -104,7 +93,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_census(args: argparse.Namespace) -> int:
     if not 1 <= args.max <= DEFAULT_CENSUS_BOUND:
-        return _complain(
+        raise ValueError(
             f"--max must lie between 1 and {DEFAULT_CENSUS_BOUND}, got {args.max}"
         )
     rows = [census(n) for n in range(1, args.max + 1)]
@@ -134,29 +123,11 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
-    try:
-        c = parse(args.chain)
-    except ParseError as exc:
-        return _complain(f"cannot parse chain: {exc}")
-    try:
-        field = _load_field(args.field)
-    except FieldFormatError as exc:
-        return _complain(str(exc))
-    try:
-        result = apply_chain(c, field)
-    except MeaninglessChainError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_MEANINGLESS
-    except (SortMismatchError, TermLimitError) as exc:
-        return _complain(str(exc))
+    result = apply_chain(parse(args.chain), _load_field(args.field))
     if args.at is None:
         print(dumps_field(result))
         return EXIT_OK
-    try:
-        point = _parse_point(args.at)
-    except ValueError as exc:
-        return _complain(str(exc))
-    value = eval_at(result, point)
+    value = eval_at(result, _parse_point(args.at))
     if isinstance(value, tuple):
         if args.json:
             print(json.dumps({"kind": "vector", "value": [str(v) for v in value]}))
@@ -172,14 +143,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 def cmd_order(args: argparse.Namespace) -> int:
     kind = CollectionKind(args.collection)
-    try:
-        field = _load_field(args.field)
-    except FieldFormatError as exc:
-        return _complain(str(exc))
-    try:
-        result = collection_order(kind, field, args.max)
-    except (SortMismatchError, ValueError) as exc:
-        return _complain(str(exc))
+    result = collection_order(kind, _load_field(args.field), args.max)
     if isinstance(result, Order):
         print(f"order {result.n}")
     else:
@@ -188,10 +152,7 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        results = verify.run_suite(args.suite, args.trials, args.seed, args.degree)
-    except ValueError as exc:
-        return _complain(str(exc))
+    results = verify.run_suite(args.suite, args.trials, args.seed, args.degree)
     for r in results:
         if r.passed:
             print(f"PASS {r.name}")
@@ -246,9 +207,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; the only place an error becomes an exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except MeaninglessChainError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_MEANINGLESS
+    except ParseError as exc:
+        print(f"cannot parse chain: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (NablachainError, ValueError) as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 def run() -> None:

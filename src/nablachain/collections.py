@@ -35,6 +35,7 @@ from .fields import (
     vector_laplacian,
 )
 from .operators import Chain, Sort
+from .parser import format_chain
 
 DEFAULT_MAX_ORDER = 16
 
@@ -196,5 +197,5 @@ def third_order_annihilation_report(f: Polynomial, v: VectorField) -> dict[str, 
     report = {}
     for c in _ORDER3_CHAINS:
         arg = f if c.innermost.domain == Sort.SCALAR else v
-        report[" ".join(op.value for op in c)] = is_zero(apply_chain(c, arg))
+        report[format_chain(c)] = is_zero(apply_chain(c, arg))
     return report

@@ -20,6 +20,8 @@ trailing "f" is an unknown token, not an ignored one.
 
 from __future__ import annotations
 
+import re
+
 from .errors import NablachainError
 from .operators import Chain, Operator
 
@@ -46,26 +48,13 @@ _ALIASES = {
 }
 
 _SUBSCRIPTS = str.maketrans("₁₂₃", "123")
-_GLYPH_SEPARATORS = ("∘", ".")
+# Python's \s matches exactly the characters str.isspace() accepts.
+_WORD = re.compile(r"[^\s∘.]+")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     """Split into (word, offset) pairs; glyph separators are dropped here."""
-    words = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        if text[i] in _GLYPH_SEPARATORS:
-            i += 1
-            continue
-        start = i
-        while i < n and not text[i].isspace() and text[i] not in _GLYPH_SEPARATORS:
-            i += 1
-        words.append((text[start:i], start))
-    return words
+    return [(m.group(), m.start()) for m in _WORD.finditer(text)]
 
 
 def parse(text: str) -> Chain:

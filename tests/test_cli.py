@@ -1,6 +1,9 @@
 import json
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nablachain.cli import main, run
 from nablachain.verify import CheckResult
@@ -306,3 +309,123 @@ def test_apply_deeply_nested_document(tmp_path, capsys):
     path.write_text("[" * 100000, encoding="utf-8")
     assert main(["apply", "--chain", "grad", "--field", str(path)]) == 1
     assert "nested too deeply" in capsys.readouterr().err
+
+
+# -- the error boundary --------------------------------------------------------
+
+
+def _assert_one_line_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    return captured.err
+
+
+def test_apply_non_utf8_field_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"kind": "scalar", "terms": [{"c": "1", "e": [1, 0, 0]}]} é'.encode("latin-1"))
+    assert main(["apply", "--chain", "grad", "--field", str(path)]) == 1
+    assert "cannot read" in _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv", [["apply", "--chain", "grad"], ["order", "--collection", "harmonic"]]
+)
+def test_field_over_the_term_budget_exits_one(r2_file, argv, monkeypatch, capsys):
+    monkeypatch.setattr("nablachain.fields.MAX_TERMS", 2)
+    assert main(argv + ["--field", r2_file]) == 1
+    assert "term budget" in _assert_one_line_error(capsys)
+
+
+def _int_str_limit() -> int:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter does not limit int-to-str conversion")
+    return limit
+
+
+def test_result_too_large_to_print_exits_one(tmp_path, capsys):
+    # The coefficient itself decodes; its product with the exponent 10**6
+    # has more digits than str() may produce.
+    digits = "9" * (_int_str_limit() - 1)
+    doc = {"kind": "scalar", "terms": [{"c": digits, "e": [10**6, 0, 0]}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["apply", "--chain", "grad", "--field", str(path)]) == 1
+    _assert_one_line_error(capsys)
+
+
+def test_value_too_large_to_print_exits_one(r2_file, capsys):
+    point = f"1e{_int_str_limit()},0,0"
+    assert main(["apply", "--chain", "grad", "--field", r2_file, "--at", point]) == 1
+    _assert_one_line_error(capsys)
+
+
+_OPERATOR_WORDS = st.sampled_from(["grad", "curl", "div", "∇1", "nabla2", "DIV"])
+_CHAIN_TEXTS = st.one_of(
+    st.builds(
+        str.join,
+        st.sampled_from([" ", " ∘ ", ".", " o "]),
+        st.lists(_OPERATOR_WORDS, min_size=1, max_size=3),
+    ),
+    st.text(max_size=12),
+)
+_INTS = st.integers(-(10**6), 10**6)
+_RATIOS = st.tuples(_INTS, st.integers(1, 10**6)).map("{0[0]}/{0[1]}".format)
+
+
+def _field_documents(coefficients, exponents):
+    terms = st.lists(st.fixed_dictionaries({"c": coefficients, "e": exponents}), max_size=4)
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("scalar"), "terms": terms}),
+        st.fixed_dictionaries(
+            {"kind": st.just("vector"), "components": st.lists(terms, min_size=3, max_size=3)}
+        ),
+    )
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, st.text(max_size=6))
+_FIELD_FILES = st.one_of(
+    _field_documents(
+        _INTS.map(str) | _RATIOS, st.lists(st.integers(0, 10**6), min_size=3, max_size=3)
+    ),
+    st.one_of(
+        _field_documents(
+            st.one_of(_INTS, st.text(max_size=6), st.tuples(_INTS, _INTS).map("{0[0]}/{0[1]}".format)),
+            st.lists(st.one_of(_INTS, st.booleans()), max_size=4),
+        ),
+        st.recursive(
+            _JSON_SCALARS,
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+            max_leaves=8,
+        ),
+    ),
+).map(lambda doc: json.dumps(doc).encode()) | st.binary(max_size=20)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["classify", "apply", "order"]),
+    chain=_CHAIN_TEXTS,
+    document=_FIELD_FILES,
+    collection=st.sampled_from(["harmonic", "curling"]),
+    bound=st.integers(-1, 8),
+)
+def test_main_never_raises(tmp_path, capsys, command, chain, document, collection, bound):
+    path = tmp_path / "field.json"
+    path.write_bytes(document)
+    argv = {
+        "classify": ["classify", "--", chain],
+        "apply": ["apply", f"--chain={chain}", "--field", str(path)],
+        "order": ["order", "--collection", collection, "--field", str(path), "--max", str(bound)],
+    }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1

@@ -342,11 +342,22 @@ def test_duplicate_exponent_triples_are_rejected():
         {"kind": "scalar", "terms": [{"c": "1/0", "e": [1, 0, 0]}]},
         {"kind": "vector", "components": [[], []]},
         {"kind": "vector", "components": "nope"},
+        {"kind": "scalar", "terms": [{"c": "1e5000", "e": [1, 0, 0]}]},
+        {"kind": "scalar", "terms": [{"c": "1.5", "e": [1, 0, 0]}]},
+        {"kind": "scalar", "terms": [{"c": "+1", "e": [1, 0, 0]}]},
+        {"kind": "scalar", "terms": [{"c": " 2 ", "e": [1, 0, 0]}]},
+        {"kind": "scalar", "terms": [{"c": "1_000", "e": [1, 0, 0]}]},
     ],
 )
 def test_malformed_documents_are_rejected(doc):
     with pytest.raises(FieldFormatError):
         field_from_json(doc)
+
+
+def test_reducible_ratio_decodes_to_an_integer():
+    p = field_from_json({"kind": "scalar", "terms": [{"c": "4/2", "e": [1, 0, 0]}]})
+    assert p == Polynomial.monomial((1, 0, 0), 2)
+    assert field_to_json(p)["terms"] == [{"c": "2", "e": [1, 0, 0]}]
 
 
 def test_loads_field_rejects_bad_json():
