@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,7 +31,7 @@ from .collections import (
     collection_order,
 )
 from .errors import FieldFormatError, MeaninglessChainError, NablachainError
-from .fields import dumps_field, eval_at, loads_field, apply_chain
+from .fields import Coefficient, _parse_coefficient, apply_chain, dumps_field, eval_at, loads_field
 from .operators import Meaningful, chain_signature
 from .parser import ParseError, parse
 
@@ -58,13 +57,14 @@ def _load_field(path: str):
     return loads_field(raw)
 
 
-def _parse_point(text: str) -> tuple[Fraction, Fraction, Fraction]:
+def _parse_point(text: str) -> tuple[Coefficient, Coefficient, Coefficient]:
+    """Three coordinates in the field files' coefficient grammar."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated values, got {text!r}")
     try:
-        a, b, c = (Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
+        a, b, c = (_parse_coefficient(p) for p in parts)
+    except ValueError as exc:
         raise ValueError(f"bad point {text!r}: {exc}") from exc
     return (a, b, c)
 

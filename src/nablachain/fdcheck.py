@@ -2,12 +2,16 @@
 
 The whole point of this module is to distrust ``fields``: derivatives
 are estimated only from point samples, so agreement between the two
-routes checks both at once.  Each first-order operation differentiates
-with the symmetric quotient ``(f(p + h e) - f(p - h e)) / 2h``, which
-carries an O(h^2) truncation error.  Nesting two such quotients divides
-machine epsilon by h^2, so length-two chains are judged against a
-relaxed relative tolerance, and chains longer than two are refused
-rather than checked badly.
+routes checks both at once.  There is one stencil, a column: along axis
+k it samples the field at ``p + h e_k`` and ``p - h e_k`` and takes the
+symmetric quotient ``(f(p + h e) - f(p - h e)) / 2h`` of every component.
+grad, curl and div are read off the three columns, six samples in all,
+with an O(h^2) truncation error.  Nesting two quotients divides machine
+epsilon by h^2, so length-two chains are judged against a relaxed
+relative tolerance, and chains longer than two are refused rather than
+checked badly.  Every component of every sample, exact or numeric, must
+be finite; a non-finite value or a float overflow raises
+NumericalFailureError.
 """
 
 from __future__ import annotations
@@ -72,24 +76,24 @@ def _shifted(point: Point, axis: int, delta: float) -> Point:
     return (moved[0], moved[1], moved[2])
 
 
-def _checked(value: float, point: Point) -> float:
-    if not math.isfinite(value):
-        raise NumericalFailureError(f"non-finite sample {value!r} near {point}")
-    return value
-
-
-def _sample(f: Callable[[Point], Sample], point: Point) -> Sample:
-    """f at point, with float overflow reported as a numerical failure."""
+def _sample(f: Callable[[Point], Sample], point: Point) -> tuple[float, ...]:
+    """The components of f at point, each checked to be finite."""
     try:
-        return f(point)
+        value = f(point)
+        parts = value if isinstance(value, tuple) else (value,)
+        for part in parts:
+            if not math.isfinite(part):
+                raise NumericalFailureError(f"non-finite sample {part!r} near {point}")
     except OverflowError as exc:
         raise NumericalFailureError(f"overflow sampling near {point}: {exc}") from exc
+    return parts
 
 
-def _quotient(f: Callable[[Point], float], axis: int, point: Point, h: float) -> float:
-    upper = _checked(float(_sample(f, _shifted(point, axis, h))), point)
-    lower = _checked(float(_sample(f, _shifted(point, axis, -h))), point)
-    return (upper - lower) / (2.0 * h)
+def _column(f: Callable[[Point], Sample], axis: int, point: Point, h: float) -> tuple[float, ...]:
+    """The symmetric quotient of every component of f along one axis."""
+    upper = _sample(f, _shifted(point, axis, h))
+    lower = _sample(f, _shifted(point, axis, -h))
+    return tuple([(u - l) / (2.0 * h) for u, l in zip(upper, lower)])
 
 
 def fd_partial(field: SampledField, axis: int, point: Point, cfg: FdConfig) -> float:
@@ -98,40 +102,23 @@ def fd_partial(field: SampledField, axis: int, point: Point, cfg: FdConfig) -> f
         raise SortMismatchError(Sort.SCALAR, field.sort, context="fd_partial")
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    return _quotient(field.evaluate, axis, point, cfg.h)  # type: ignore[arg-type]
-
-
-def _component(field: SampledField, index: int) -> Callable[[Point], float]:
-    def pick(point: Point) -> float:
-        return field.evaluate(point)[index]  # type: ignore[index]
-
-    return pick
+    return _column(field.evaluate, axis, point, cfg.h)[0]
 
 
 def fd_first_order(op: Operator, field: SampledField, point: Point, cfg: FdConfig) -> Sample:
-    """One numeric first-order operation at a point."""
+    """One numeric first-order operation at a point.
+
+    Column ``dk`` holds the quotient of every component along axis k, so
+    ``dk[i]`` estimates the partial of component i + 1 along axis k.
+    """
     if field.sort is not op.domain:
         raise SortMismatchError(op.domain, field.sort, context=op.value)
-    h = cfg.h
+    d1, d2, d3 = (_column(field.evaluate, axis, point, cfg.h) for axis in (1, 2, 3))
     if op is Operator.GRAD:
-        f = field.evaluate
-        return (
-            _quotient(f, 1, point, h),  # type: ignore[arg-type]
-            _quotient(f, 2, point, h),  # type: ignore[arg-type]
-            _quotient(f, 3, point, h),  # type: ignore[arg-type]
-        )
-    f1, f2, f3 = (_component(field, i) for i in range(3))
+        return (d1[0], d2[0], d3[0])
     if op is Operator.CURL:
-        return (
-            _quotient(f3, 2, point, h) - _quotient(f2, 3, point, h),
-            _quotient(f1, 3, point, h) - _quotient(f3, 1, point, h),
-            _quotient(f2, 1, point, h) - _quotient(f1, 2, point, h),
-        )
-    return (
-        _quotient(f1, 1, point, h)
-        + _quotient(f2, 2, point, h)
-        + _quotient(f3, 3, point, h)
-    )
+        return (d2[2] - d3[1], d3[0] - d1[2], d1[1] - d2[0])
+    return d1[0] + d2[1] + d3[2]
 
 
 def fd_apply(op: Operator, field: SampledField, cfg: FdConfig) -> SampledField:
@@ -151,6 +138,8 @@ class CrossCheckRow:
     deviation: float
     tolerance: float
     ok: bool
+    exact: float
+    numeric: float
 
 
 @dataclass(frozen=True)
@@ -158,12 +147,6 @@ class CrossCheckReport:
     passed: bool
     max_deviation: float
     rows: tuple[CrossCheckRow, ...]
-
-
-def _as_components(value: Sample) -> tuple[float, ...]:
-    if isinstance(value, tuple):
-        return value
-    return (value,)
 
 
 def cross_check(
@@ -189,17 +172,15 @@ def cross_check(
         numeric = fd_apply(op, numeric, cfg)
 
     rows = []
-    worst = 0.0
     for point in points:
-        exact_value = _as_components(_sample(exact.eval_float, point))
-        numeric_value = _as_components(_sample(numeric.evaluate, point))
+        exact_value = _sample(exact.eval_float, point)
+        numeric_value = _sample(numeric.evaluate, point)
         for want, got in zip(exact_value, numeric_value):
-            deviation = abs(_checked(got, point) - want)
+            deviation = abs(got - want)
             tolerance = cfg.tolerance(want, depth)
-            worst = max(worst, deviation)
-            rows.append(CrossCheckRow(point, deviation, tolerance, deviation <= tolerance))
+            rows.append(CrossCheckRow(point, deviation, tolerance, deviation <= tolerance, want, got))
     return CrossCheckReport(
         passed=all(row.ok for row in rows),
-        max_deviation=worst,
+        max_deviation=max((row.deviation for row in rows), default=0.0),
         rows=tuple(rows),
     )

@@ -463,6 +463,19 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
+def _parse_coefficient(text: str) -> Coefficient:
+    """The canonical int or Fraction that text spells, or ValueError."""
+    if _INTEGER.fullmatch(text):
+        return int(text)
+    ratio = _RATIO.fullmatch(text)
+    if ratio is None:
+        raise ValueError("not an integer or a ratio of integers")
+    numerator, denominator = int(ratio[1]), int(ratio[2])
+    if denominator == 0:
+        raise ValueError("zero denominator")
+    return _canonical(Fraction(numerator, denominator))
+
+
 def _terms_from_json(entries, where: str) -> Polynomial:
     if entries is None:
         return Polynomial.zero()
@@ -483,13 +496,8 @@ def _terms_from_json(entries, where: str) -> Polynomial:
         if not isinstance(raw_c, str):
             raise FieldFormatError(f"{where}: 'c' must be a string, got {raw_c!r}")
         try:
-            if _INTEGER.fullmatch(raw_c):
-                c = int(raw_c)
-            elif ratio := _RATIO.fullmatch(raw_c):
-                c = _canonical(Fraction(int(ratio[1]), int(ratio[2])))
-            else:
-                raise ValueError("not an integer or a ratio of integers")
-        except (ValueError, ZeroDivisionError) as exc:
+            c = _parse_coefficient(raw_c)
+        except ValueError as exc:
             raise FieldFormatError(f"{where}: bad coefficient {raw_c!r}") from exc
         e = tuple(raw_e)
         if e in seen:

@@ -20,9 +20,10 @@ corpus itself: because no ``violation`` draws, building a trial's
 inputs before judging any of them yields the same stream as
 interleaving draws with tests.  Results come back sorted by check name.
 The sampling-agreement corpus in the oracle suite pins its fields to
-total degree three regardless of the degree argument: the difference
-quotient's truncation error on higher degrees would swamp the absolute
-floor it is judged against.
+total degree three regardless of the degree argument, and judges them
+through ``cross_check`` against an absolute floor of 1e-7: on cubics the
+difference quotient's error stays below about 3e-8, while higher degrees
+would swamp any fixed floor.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .corpus import (
     witness_corpus,
 )
 from .errors import MeaninglessChainError, SortMismatchError
-from .fdcheck import FdConfig, as_sampled, cross_check, fd_first_order, fd_partial
+from .fdcheck import FdConfig, as_sampled, cross_check, fd_partial
 from .fields import (
     FieldValue,
     Polynomial,
@@ -392,25 +393,24 @@ def run_examples(trials: int, seed: int, degree: int) -> list[CheckResult]:
 
 # -- oracle ------------------------------------------------------------------
 
-# Small step so cubic truncation error stays under the absolute floor.
-_AGREEMENT_CFG = FdConfig(h=1e-5)
+# On a cubic the central quotient's error is exactly h^2/6 times a third
+# partial, which only the x_k^3 term feeds; merged draw coefficients are
+# at most 8 * 9 = 72, so that is at most 72 h^2 = 7.2e-9 per quotient.
+# Each entry takes at most 3 quotients, and rounding adds about
+# eps * |f| / h <= 1.6e-9 (|f| <= 72 on the unit box) per quotient:
+# together below about 3e-8, so a floor of 1e-7 leaves room.
+_AGREEMENT_CFG = FdConfig(h=1e-5, abs_floor=1e-7)
 _AGREEMENT_DEGREE = 3
 
 
 def _check_sampling_agreement(op: Operator, trials: int, seed: int) -> CheckResult:
     def violation(case):
         field, points = case
-        exact = apply_operator(op, field)
-        sampled = as_sampled(field)
-        for point in points:
-            want = exact.eval_float(point)
-            got = fd_first_order(op, sampled, point, _AGREEMENT_CFG)
-            want_parts = want if isinstance(want, tuple) else (want,)
-            got_parts = got if isinstance(got, tuple) else (got,)
-            for w, g in zip(want_parts, got_parts):
-                if abs(g - w) > _AGREEMENT_CFG.tolerance(w):
-                    return f"field = {field!r}, point = {point}, |{g} - {w}|"
-        return None
+        report = cross_check(chain(op), field, points, _AGREEMENT_CFG)
+        bad = next((row for row in report.rows if not row.ok), None)
+        if bad is None:
+            return None
+        return f"field = {field!r}, point = {bad.point}, |{bad.numeric} - {bad.exact}|"
 
     return _sweep(f"{op.value} sampling agreement", seed, trials,
                   lambda rng, i: (_draw_field(rng, op.domain, _AGREEMENT_DEGREE), _draw_points(rng)),

@@ -361,6 +361,20 @@ def test_value_too_large_to_print_exits_one(r2_file, capsys):
     _assert_one_line_error(capsys)
 
 
+def test_value_too_large_to_print_from_a_valid_point_exits_one(r2_file, capsys):
+    # The coordinate has as many digits as str() may produce; twice it has one more.
+    point = f"{'9' * _int_str_limit()},0,0"
+    assert main(["apply", "--chain", "grad", "--field", r2_file, "--at", point]) == 1
+    assert "bad point" not in _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("point", ["1e3,0,0", "0.5,0,0", "1e10000000,0,0", "+1,0,0"])
+def test_apply_at_reads_the_coefficient_grammar(r2_file, point, capsys):
+    # Coordinates are integers or ratios of integers, as in field files.
+    assert main(["apply", "--chain", "grad", "--field", r2_file, "--at", point]) == 1
+    assert "bad point" in _assert_one_line_error(capsys)
+
+
 _OPERATOR_WORDS = st.sampled_from(["grad", "curl", "div", "∇1", "nabla2", "DIV"])
 _CHAIN_TEXTS = st.one_of(
     st.builds(

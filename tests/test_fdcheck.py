@@ -195,3 +195,46 @@ def test_cross_check_uses_depth_tolerance():
 def test_float_overflow_is_a_numerical_failure():
     with pytest.raises(NumericalFailureError):
         cross_check(Chain((G,)), Polynomial({(200, 0, 0): 1}), [(40.0, 0.0, 0.0)])
+
+
+def test_curl_samples_its_field_six_times():
+    # One column per axis, each sampled once above and once below the point.
+    calls = []
+
+    def evaluate(point):
+        calls.append(point)
+        return rot.eval_float(point)
+
+    got = fd_first_order(C, SampledField(Sort.VECTOR, evaluate), (0.5, 0.5, 0.5), FdConfig())
+    assert len(calls) == 6
+    assert abs(got[2] - 2.0) <= FdConfig().tolerance(2.0)
+
+
+@pytest.mark.parametrize("op", [C, D])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_vector_component_is_reported(op, bad):
+    field = SampledField(Sort.VECTOR, lambda p: (0.0, bad, 1.0))
+    with pytest.raises(NumericalFailureError):
+        fd_first_order(op, field, (0.0, 0.0, 0.0), FdConfig())
+
+
+@pytest.mark.parametrize(
+    "c, field",
+    [(Chain((C,)), rot), (Chain((G,)), r2), (Chain((D, G)), r2 * x1), (Chain((C, C)), identity)],
+)
+def test_cross_check_rows_carry_exact_and_numeric(c, field):
+    report = cross_check(c, field, [(0.3, -0.1, 0.8), (0.0, 0.5, -0.5)])
+    for row in report.rows:
+        assert abs(row.numeric - row.exact) == row.deviation
+
+
+def test_cross_check_rows_hold_the_exact_values():
+    report = cross_check(Chain((C,)), rot, [(0.3, -0.1, 0.8), (0.0, 0.5, -0.5)])
+    assert [row.exact for row in report.rows] == [0.0, 0.0, 2.0] * 2
+
+
+def test_fd_curl_matches_exact_on_every_component():
+    # curl (x3, x1, x2) = (1, 1, 1): a sign slip in any component shows.
+    cfg = FdConfig()
+    got = fd_first_order(C, as_sampled(VectorField(x3, x1, x2)), (0.3, -0.6, 0.2), cfg)
+    assert all(abs(g - 1.0) <= cfg.tolerance(1.0) for g in got)

@@ -76,3 +76,10 @@ def test_verify_failure_output_matches_golden(case, capsys, monkeypatch):
     argv = ["verify", "--suite", case["suite"], "--seed", str(case["seed"]), "--trials", str(case["trials"])]
     code = main(argv)
     assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+
+
+def test_oracle_suite_passes_where_cubic_error_exceeds_old_floor():
+    # At this seed a curl entry deviates by about 1.2e-9: above the former
+    # absolute floor of 1e-9, inside the cubic error bound of about 3e-8.
+    results = verify.run_suite("oracle", seed=1495622847)
+    assert [r for r in results if not r.passed] == []
