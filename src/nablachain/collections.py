@@ -19,22 +19,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
+from . import fields
 from .classify import TrivialZero, classify, meaningful_chains
 from .errors import NotInCollectionError, SortMismatchError
-from .fields import (
-    FieldValue,
-    Polynomial,
-    VectorField,
-    apply_chain,
-    curl,
-    div,
-    grad,
-    is_zero,
-    laplacian,
-    sort_of,
-    vector_laplacian,
-)
-from .operators import Chain, Sort
+from .fields import FieldValue, Polynomial, VectorField, apply_chain, apply_operator, is_zero, sort_of
+from .operators import Chain, Operator, Sort, chain
 from .parser import format_chain
 
 DEFAULT_MAX_ORDER = 16
@@ -48,13 +37,6 @@ class CollectionKind(Enum):
     @property
     def required_sort(self) -> Sort:
         return Sort.SCALAR if self is CollectionKind.HARMONIC else Sort.VECTOR
-
-
-_STEPS = {
-    CollectionKind.HARMONIC: laplacian,
-    CollectionKind.CURLING: curl,
-    CollectionKind.VECTOR_HARMONIC: vector_laplacian,
-}
 
 
 @dataclass(frozen=True)
@@ -87,10 +69,14 @@ def collection_order(kind: CollectionKind, field: FieldValue, max_n: int = DEFAU
         raise ValueError("max_n must be >= 1")
     if sort_of(field) != kind.required_sort:
         raise SortMismatchError(kind.required_sort, sort_of(field), context=kind.value)
-    step = _STEPS[kind]
     current = field
     for n in range(1, max_n + 1):
-        current = step(current)
+        if kind is CollectionKind.HARMONIC:
+            current = fields.laplacian(current)
+        elif kind is CollectionKind.CURLING:
+            current = apply_operator(Operator.CURL, current)
+        else:
+            current = fields.vector_laplacian(current)
         if is_zero(current):
             return Order(n)
     return ExceedsBound(max_n)
@@ -103,7 +89,7 @@ def annihilates(c: Chain, field: FieldValue) -> bool:
 
 def _laplacian_power(f: Polynomial, n: int) -> Polynomial:
     for _ in range(n):
-        f = laplacian(f)
+        f = fields.laplacian(f)
     return f
 
 
@@ -129,28 +115,20 @@ def check_coordinate_multiple(f: Polynomial, n: int, axis: int = 1) -> bool:
 def check_squared_coordinate_multiple(f: Polynomial, n: int, axis: int = 1) -> bool:
     """Squared-coordinate multiplication identity for iterated laplacians.
 
-    For n >= 2 both sides of
+    Both sides of
 
         lap^n(x^2 * f) == 4n(n-1) * d2(lap^(n-2) f)/dx2
                           + 4n * x * d(lap^(n-1) f)/dx
                           + 2n * lap^(n-1) f
                           + x^2 * lap^n(f)
 
-    are compared; for n == 1 the non-inductive base form
-
-        lap(x^2 * f) == 2f + 4x * df/dx + x^2 * lap(f)
-
-    is checked instead, since the general right side would reach below
-    the zeroth iterate.
+    are compared.  At n == 1 the first term's factor is zero, so the
+    iterate it names (lap^(-1), taken as f itself) never counts.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     x = Polynomial.variable(axis)
     x2 = x * x
-    if n == 1:
-        lhs = laplacian(x2 * f)
-        rhs = 2 * f + 4 * (x * f.partial(axis)) + x2 * laplacian(f)
-        return lhs == rhs
     lhs = _laplacian_power(x2 * f, n)
     rhs = (
         4 * n * (n - 1) * _laplacian_power(f, n - 2).partial(axis).partial(axis)
@@ -167,9 +145,10 @@ def check_vector_harmonic_swap(v: VectorField) -> bool:
     Raises NotInCollectionError when the precondition fails; the identity
     is false off the vector harmonic collection.
     """
-    if not is_zero(vector_laplacian(v)):
+    if not is_zero(fields.vector_laplacian(v)):
         raise NotInCollectionError("field is not vector harmonic (componentwise laplacians do not vanish)")
-    return curl(curl(v)) == grad(div(v))
+    curl_curl = apply_chain(chain(Operator.CURL, Operator.CURL), v)
+    return curl_curl == apply_chain(chain(Operator.GRAD, Operator.DIV), v)
 
 
 # The eight meaningful third-order words, the three nontrivial ones
@@ -190,9 +169,9 @@ def third_order_annihilation_report(f: Polynomial, v: VectorField) -> dict[str, 
     applied to f, vector-input chains to v.  Returns chain text mapped to
     whether the result vanished; on such inputs every entry is True.
     """
-    if not is_zero(laplacian(f)):
+    if not is_zero(fields.laplacian(f)):
         raise NotInCollectionError("scalar field is not harmonic")
-    if not is_zero(vector_laplacian(v)):
+    if not is_zero(fields.vector_laplacian(v)):
         raise NotInCollectionError("vector field is not vector harmonic")
     report = {}
     for c in _ORDER3_CHAINS:

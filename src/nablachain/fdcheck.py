@@ -25,7 +25,7 @@ from .errors import (
     NumericalFailureError,
     SortMismatchError,
 )
-from .fields import FieldValue, apply_chain, sort_of
+from .fields import FieldValue, _check_axis, apply_chain, sort_of
 from .operators import Chain, Operator, Sort
 
 Point = tuple[float, float, float]
@@ -100,8 +100,7 @@ def fd_partial(field: SampledField, axis: int, point: Point, cfg: FdConfig) -> f
     """Symmetric difference quotient of a scalar field along one axis."""
     if field.sort is not Sort.SCALAR:
         raise SortMismatchError(Sort.SCALAR, field.sort, context="fd_partial")
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    _check_axis(axis)
     return _column(field.evaluate, axis, point, cfg.h)[0]
 
 

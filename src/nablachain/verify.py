@@ -8,16 +8,21 @@ linearity, degree bookkeeping, classifier-versus-evaluation agreement),
 facts), and ``oracle`` (exact engine against the finite-difference
 route).
 
-Every check that draws from a generator runs through one runner,
-``_sweep(name, seed, reps, draw, violation)``.  It seeds the generator
-from the pair (seed, check name), so checks are independent of
-execution order and reports are reproducible byte for byte.  For each
-i below reps, ``draw(rng, i)`` builds the i-th input and is the only
-code that consumes the generator; ``violation(input)`` must not consume
-it, and returns None when the claim holds or the failure detail
-otherwise.  Draw order is part of the report format, as it is for the
-corpus itself: because no ``violation`` draws, building a trial's
-inputs before judging any of them yields the same stream as
+Every check runs through one runner,
+``_sweep(name, seed, reps, draw, violation)``, the only code here that
+builds a ``CheckResult``.  It seeds the generator from the pair (seed,
+check name), so checks are independent of execution order and reports
+are reproducible byte for byte.  For each i below reps, ``draw(rng, i)``
+builds the i-th input and is the only code that consumes the
+generator; ``violation(input)`` must not consume it, and returns None
+when the claim holds or the failure detail otherwise.  Checks over a
+fixed list of cases go through ``_each``, whose draw is ``cases[i]``
+and consumes nothing.  A ``NablachainError`` raised while drawing or
+judging an input fails the check, with the error's type and message as
+the detail, so a broken engine is reported as a violation rather than
+aborting the suite.  Draw order is part of the report format, as it is
+for the corpus itself: because no ``violation`` draws, building a
+trial's inputs before judging any of them yields the same stream as
 interleaving draws with tests.  Results come back sorted by check name.
 The sampling-agreement corpus in the oracle suite pins its fields to
 total degree three regardless of the degree argument, and judges them
@@ -34,6 +39,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, TypeVar
 
+from . import fields
 from .classify import (
     Family,
     TrivialZero,
@@ -61,19 +67,9 @@ from .corpus import (
     radius_squared,
     witness_corpus,
 )
-from .errors import MeaninglessChainError, SortMismatchError
+from .errors import MeaninglessChainError, NablachainError, SortMismatchError
 from .fdcheck import FdConfig, as_sampled, cross_check, fd_partial
-from .fields import (
-    FieldValue,
-    Polynomial,
-    VectorField,
-    apply_chain,
-    apply_operator,
-    curl,
-    div,
-    grad,
-    vector_laplacian,
-)
+from .fields import FieldValue, Polynomial, VectorField, apply_chain, apply_operator
 from .operators import (
     Chain,
     Meaningful,
@@ -110,13 +106,21 @@ def _sweep(
     draw: Callable[[random.Random, int], _Input],
     violation: Callable[[_Input], Optional[str]],
 ) -> CheckResult:
-    """Judge reps seeded draws in order; the first violation fails the check."""
+    """Judge reps seeded draws in order; the first violation or domain error fails the check."""
     rng = _rng(seed, name)
     for i in range(reps):
-        detail = violation(draw(rng, i))
+        try:
+            detail = violation(draw(rng, i))
+        except NablachainError as exc:
+            detail = f"{type(exc).__name__}: {exc}"
         if detail is not None:
             return CheckResult(name, False, detail)
     return CheckResult(name, True)
+
+
+def _each(name: str, cases: list[_Input], violation: Callable[[_Input], Optional[str]]) -> CheckResult:
+    """Judge a fixed list of cases in order; consumes no randomness."""
+    return _sweep(name, 0, len(cases), lambda rng, i: cases[i], violation)
 
 
 def _draw_field(rng: random.Random, sort: Sort, degree: int) -> FieldValue:
@@ -181,16 +185,15 @@ def _check_degree_step(op: Operator, trials: int, seed: int, degree: int) -> Che
 
 
 def _check_classifier_agreement(seed: int) -> CheckResult:
-    name = "classifier evaluation agreement"
     scalars, vectors = witness_corpus(seed)
-    for n in range(1, 6):
-        for c in meaningful_chains(n):
-            witnesses = scalars if c.innermost.domain is Sort.SCALAR else vectors
-            all_zero = all(apply_chain(c, w).is_zero for w in witnesses)
-            is_trivial = isinstance(classify(c), TrivialZero)
-            if is_trivial != all_zero:
-                return CheckResult(name, False, f"chain {format_chain(c)}")
-    return CheckResult(name, True)
+
+    def violation(c):
+        witnesses = scalars if c.innermost.domain is Sort.SCALAR else vectors
+        all_zero = all(apply_chain(c, w).is_zero for w in witnesses)
+        return None if isinstance(classify(c), TrivialZero) == all_zero else f"chain {format_chain(c)}"
+
+    return _each("classifier evaluation agreement",
+                 [c for n in range(1, 6) for c in meaningful_chains(n)], violation)
 
 
 def run_identities(trials: int, seed: int, degree: int) -> list[CheckResult]:
@@ -200,13 +203,21 @@ def run_identities(trials: int, seed: int, degree: int) -> list[CheckResult]:
     def vector(rng, i):
         return random_vector_field(rng, degree)
 
+    curl_grad = chain(Operator.CURL, Operator.GRAD)
+    div_curl = chain(Operator.DIV, Operator.CURL)
+    curl_curl = chain(Operator.CURL, Operator.CURL)
+    grad_div = chain(Operator.GRAD, Operator.DIV)
+
+    def decomposition(v):
+        rhs = apply_chain(grad_div, v) - fields.vector_laplacian(v)
+        return None if apply_chain(curl_curl, v) == rhs else f"v = {v!r}"
+
     results = [
         _sweep("annihilation curl after grad", seed, trials, scalar,
-               lambda f: None if curl(grad(f)).is_zero else f"f = {f!r}"),
+               lambda f: None if apply_chain(curl_grad, f).is_zero else f"f = {f!r}"),
         _sweep("annihilation div after curl", seed, trials, vector,
-               lambda v: None if div(curl(v)).is_zero else f"v = {v!r}"),
-        _sweep("curl of curl decomposition", seed, trials, vector,
-               lambda v: None if curl(curl(v)) == grad(div(v)) - vector_laplacian(v) else f"v = {v!r}"),
+               lambda v: None if apply_chain(div_curl, v).is_zero else f"v = {v!r}"),
+        _sweep("curl of curl decomposition", seed, trials, vector, decomposition),
         _check_linearity(trials, seed, degree),
         _check_classifier_agreement(seed),
     ]
@@ -234,16 +245,12 @@ def _grouped(outer: tuple[Operator, ...], inner: tuple[Operator, ...], field):
         return _UNDEFINED
 
 
-def _check_grouping_signatures() -> CheckResult:
-    name = "grouping signatures agree"
-    for triple in product(Operator, repeat=3):
-        sigs = [Meaningful(*signature(op)) for op in triple]
-        left = compose_signatures(compose_signatures(sigs[0], sigs[1]), sigs[2])
-        right = compose_signatures(sigs[0], compose_signatures(sigs[1], sigs[2]))
-        flat = chain_signature(Chain(triple))
-        if not (left == right == flat):
-            return CheckResult(name, False, f"triple {format_chain(Chain(triple))}")
-    return CheckResult(name, True)
+def _grouping_signatures_violation(triple: tuple[Operator, ...]) -> Optional[str]:
+    sigs = [Meaningful(*signature(op)) for op in triple]
+    left = compose_signatures(compose_signatures(sigs[0], sigs[1]), sigs[2])
+    right = compose_signatures(sigs[0], compose_signatures(sigs[1], sigs[2]))
+    flat = chain_signature(Chain(triple))
+    return None if left == right == flat else f"triple {format_chain(Chain(triple))}"
 
 
 def _check_grouping_values(sort: Sort, trials: int, seed: int, degree: int) -> CheckResult:
@@ -267,7 +274,8 @@ def _check_grouping_values(sort: Sort, trials: int, seed: int, degree: int) -> C
 
 def run_associativity(trials: int, seed: int, degree: int) -> list[CheckResult]:
     return [
-        _check_grouping_signatures(),
+        _each("grouping signatures agree", list(product(Operator, repeat=3)),
+              _grouping_signatures_violation),
         _check_grouping_values(Sort.SCALAR, trials, seed, degree),
         _check_grouping_values(Sort.VECTOR, trials, seed, degree),
     ]
@@ -297,7 +305,6 @@ def _check_multiplication_identity(
 
 
 def _check_order_witnesses() -> CheckResult:
-    name = "collection order witnesses"
     x1 = Polynomial.variable(1)
     x2 = Polynomial.variable(2)
     r2 = radius_squared()
@@ -308,11 +315,13 @@ def _check_order_witnesses() -> CheckResult:
         (CollectionKind.HARMONIC, r2 * r2, 3),
         (CollectionKind.CURLING, _ROTATION, 2),
     ]
-    for kind, field, want in cases:
+
+    def violation(case):
+        kind, field, want = case
         got = collection_order(kind, field, 10)
-        if got != Order(want):
-            return CheckResult(name, False, f"{kind.value} of {field!r}: got {got!r}")
-    return CheckResult(name, True)
+        return None if got == Order(want) else f"{kind.value} of {field!r}: got {got!r}"
+
+    return _each("collection order witnesses", cases, violation)
 
 
 def _check_multiplier_keeps_membership(
@@ -337,7 +346,7 @@ def _check_multiplier_keeps_membership(
 
 def _draw_ladder(rng: random.Random, i: int):
     scalars = [random_polyharmonic_of_order(rng, k) for k in (1, 2, 3)]
-    swirl = _ROTATION + grad(random_polynomial(rng, 3))
+    swirl = _ROTATION + apply_operator(Operator.GRAD, random_polynomial(rng, 3))
     w = VectorField(
         random_polyharmonic_of_order(rng, 2),
         random_harmonic_polynomial(rng),
@@ -363,7 +372,7 @@ def _ladder_violation(case) -> Optional[str]:
         return f"v = {swirl!r}: second curl did not vanish"
     if collection_order(CollectionKind.VECTOR_HARMONIC, w, 8) != Order(2):
         return f"w = {w!r}, expected vector order 2"
-    if not vector_laplacian(vector_laplacian(w)).is_zero:
+    if not fields.vector_laplacian(fields.vector_laplacian(w)).is_zero:
         return f"w = {w!r}: second iterate nonzero"
     return None
 
@@ -417,9 +426,8 @@ def _check_sampling_agreement(op: Operator, trials: int, seed: int) -> CheckResu
                   violation)
 
 
-def _check_step_convergence() -> CheckResult:
-    name = "quadratic step convergence"
-    quartic = Polynomial.monomial((4, 0, 0))
+def _step_convergence_violation(quartic: Polynomial) -> Optional[str]:
+    """The x1-partial of x1^4 at (1, 0, 0) is 4; its error shrinks as h^2."""
     sampled = as_sampled(quartic)
     point = (1.0, 0.0, 0.0)
     errors = [
@@ -427,9 +435,7 @@ def _check_step_convergence() -> CheckResult:
         for h in (1e-2, 1e-3)
     ]
     ratio = errors[0] / errors[1]
-    if not 25.0 <= ratio <= 400.0:
-        return CheckResult(name, False, f"error ratio {ratio} outside [25, 400]")
-    return CheckResult(name, True)
+    return None if 25.0 <= ratio <= 400.0 else f"error ratio {ratio} outside [25, 400]"
 
 
 def _check_cross(name: str, c: Chain, field: FieldValue, seed: int) -> CheckResult:
@@ -442,7 +448,8 @@ def _check_cross(name: str, c: Chain, field: FieldValue, seed: int) -> CheckResu
 
 def run_oracle(trials: int, seed: int, degree: int) -> list[CheckResult]:
     results = [_check_sampling_agreement(op, trials, seed) for op in Operator]
-    results.append(_check_step_convergence())
+    results.append(_each("quadratic step convergence", [Polynomial.monomial((4, 0, 0))],
+                         _step_convergence_violation))
     results.append(_check_cross("nested laplacian cross-check", chain(Operator.DIV, Operator.GRAD),
                                 radius_squared(), seed))
     results.append(_check_cross("first-order curl cross-check", chain(Operator.CURL), _ROTATION, seed))

@@ -91,6 +91,13 @@ def test_fd_partial_rejects_bad_axis():
         fd_partial(as_sampled(x1), 4, (0.0, 0.0, 0.0), FdConfig())
 
 
+@pytest.mark.parametrize("axis", [True, 1.0])
+def test_fd_partial_rejects_non_int_axes_like_partial(axis):
+    # The axis rule of Polynomial.partial: a bool or a float is not an axis.
+    with pytest.raises(ValueError):
+        fd_partial(as_sampled(x1), axis, (0.0, 0.0, 0.0), FdConfig())
+
+
 def test_fd_first_order_div_of_identity():
     cfg = FdConfig()
     got = fd_first_order(D, as_sampled(identity), (0.2, -0.4, 0.9), cfg)

@@ -83,3 +83,24 @@ def test_oracle_suite_passes_where_cubic_error_exceeds_old_floor():
     # absolute floor of 1e-9, inside the cubic error bound of about 3e-8.
     results = verify.run_suite("oracle", seed=1495622847)
     assert [r for r in results if not r.passed] == []
+
+
+def _laplacian_n_squared(f):
+    """The fused laplacian with n * n where n * (n - 1) belongs."""
+    out = {}
+    for e, c in f._terms.items():
+        for i in range(3):
+            if e[i] > 1:
+                d = e[:i] + (e[i] - 2,) + e[i + 1:]
+                out[d] = out.get(d, 0) + e[i] * e[i] * c
+    return fields._finish(out)
+
+
+def test_domain_error_inside_a_check_is_reported_as_its_failure(capsys, monkeypatch):
+    # The broken laplacian makes the harmonic precondition itself raise;
+    # that must fail the check (exit 3), not abort the run as bad input.
+    monkeypatch.setattr(fields, "laplacian", _laplacian_n_squared)
+    assert main(["verify", "--suite", "examples", "--trials", "5"]) == 3
+    out = capsys.readouterr().out
+    assert ("FAIL third-order products vanish on harmonic inputs: "
+            "NotInCollectionError: scalar field is not harmonic") in out.splitlines()
