@@ -141,14 +141,14 @@ def meaningful_chains(length: int) -> Iterator[Chain]:
             yield Chain(word)
 
 
-def census(length: int, bound: int = DEFAULT_CENSUS_BOUND) -> Census:
+def census(length: int) -> Census:
     """Classify all 3^length chains of one length and count the outcomes.
 
     Only the meaningful words are materialised (there are few of them);
     everything else fails the adjacency test and is counted meaningless.
     """
-    if not 1 <= length <= bound:
-        raise ValueError(f"length must be between 1 and {bound}, got {length}")
+    if not 1 <= length <= DEFAULT_CENSUS_BOUND:
+        raise ValueError(f"length must be between 1 and {DEFAULT_CENSUS_BOUND}, got {length}")
     trivial = 0
     nontrivial = 0
     meaningful = 0

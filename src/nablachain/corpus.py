@@ -14,9 +14,12 @@ generator is intentionally simple enough to restate in a sentence each:
   polynomial.
 * ``random_boxed_polynomial(rng, max_exponent)``: same term loop, but
   each exponent is drawn as ``rng.randint(0, max_exponent)``
-  independently, and coefficients come from a caller-supplied range.
-  This variant reaches the high mixed degrees needed to witness that a
-  long derivative chain is not identically zero.
+  independently, and the coefficient as ``rng.randint(-5, 5)``.  This
+  variant serves ``witness_corpus``: it reaches the high mixed degrees
+  needed to witness that a long derivative chain is not identically
+  zero.
+* a vector draw is three scalar draws of its kind, one per component.
+* ``random_point(rng)`` draws each coordinate uniformly from [-1, 1].
 * harmonic draws are integer combinations of a fixed basis of harmonic
   polynomials through degree three, with coefficients
   ``rng.randint(-9, 9)``, redrawn until nonzero.
@@ -29,76 +32,54 @@ of the format.
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 from .fields import Polynomial, VectorField
 
 COEFF_LO = -9
 COEFF_HI = 9
+# The boxed draws serve only witness_corpus, with coefficients in [-5, 5].
+WITNESS_COEFF_LO = -5
+WITNESS_COEFF_HI = 5
+WITNESS_DRAWS = 20
 MAX_TERMS_PER_DRAW = 8
 
 
-def random_polynomial(
-    rng: random.Random,
-    degree: int,
-    coeff_lo: int = COEFF_LO,
-    coeff_hi: int = COEFF_HI,
-) -> Polynomial:
-    """A random polynomial of total degree <= degree; may be zero."""
-    terms: dict[tuple[int, int, int], int] = {}
+def _draw_terms(rng: random.Random, exponents: Callable[[], tuple[int, ...]], lo: int, hi: int) -> Polynomial:
+    """The shared term loop: a term count, then per term its exponents and coefficient."""
+    terms: dict[tuple[int, ...], int] = {}
     for _ in range(rng.randint(1, MAX_TERMS_PER_DRAW)):
+        key = exponents()
+        c = rng.randint(lo, hi)
+        terms[key] = terms.get(key, 0) + c
+    return Polynomial(terms)
+
+
+def random_polynomial(rng: random.Random, degree: int) -> Polynomial:
+    """A random polynomial of total degree <= degree; may be zero."""
+
+    def exponents() -> tuple[int, int, int]:
         d = rng.randint(0, degree)
         e1 = rng.randint(0, d)
         e2 = rng.randint(0, d - e1)
-        e3 = d - e1 - e2
-        c = rng.randint(coeff_lo, coeff_hi)
-        key = (e1, e2, e3)
-        terms[key] = terms.get(key, 0) + c
-    return Polynomial(terms)
+        return (e1, e2, d - e1 - e2)
+
+    return _draw_terms(rng, exponents, COEFF_LO, COEFF_HI)
 
 
-def random_boxed_polynomial(
-    rng: random.Random,
-    max_exponent: int,
-    coeff_lo: int = COEFF_LO,
-    coeff_hi: int = COEFF_HI,
-) -> Polynomial:
+def random_boxed_polynomial(rng: random.Random, max_exponent: int) -> Polynomial:
     """A random polynomial with each exponent <= max_exponent independently."""
-    terms: dict[tuple[int, int, int], int] = {}
-    for _ in range(rng.randint(1, MAX_TERMS_PER_DRAW)):
-        key = (
-            rng.randint(0, max_exponent),
-            rng.randint(0, max_exponent),
-            rng.randint(0, max_exponent),
-        )
-        c = rng.randint(coeff_lo, coeff_hi)
-        terms[key] = terms.get(key, 0) + c
-    return Polynomial(terms)
-
-
-def random_vector_field(
-    rng: random.Random,
-    degree: int,
-    coeff_lo: int = COEFF_LO,
-    coeff_hi: int = COEFF_HI,
-) -> VectorField:
-    return VectorField(
-        random_polynomial(rng, degree, coeff_lo, coeff_hi),
-        random_polynomial(rng, degree, coeff_lo, coeff_hi),
-        random_polynomial(rng, degree, coeff_lo, coeff_hi),
+    return _draw_terms(
+        rng, lambda: tuple(rng.randint(0, max_exponent) for _ in range(3)), WITNESS_COEFF_LO, WITNESS_COEFF_HI
     )
 
 
-def random_boxed_vector_field(
-    rng: random.Random,
-    max_exponent: int,
-    coeff_lo: int = COEFF_LO,
-    coeff_hi: int = COEFF_HI,
-) -> VectorField:
-    return VectorField(
-        random_boxed_polynomial(rng, max_exponent, coeff_lo, coeff_hi),
-        random_boxed_polynomial(rng, max_exponent, coeff_lo, coeff_hi),
-        random_boxed_polynomial(rng, max_exponent, coeff_lo, coeff_hi),
-    )
+def random_vector_field(rng: random.Random, degree: int) -> VectorField:
+    return VectorField(*(random_polynomial(rng, degree) for _ in range(3)))
+
+
+def random_boxed_vector_field(rng: random.Random, max_exponent: int) -> VectorField:
+    return VectorField(*(random_boxed_polynomial(rng, max_exponent) for _ in range(3)))
 
 
 def _m(e1: int, e2: int, e3: int, c: int = 1) -> Polynomial:
@@ -167,25 +148,23 @@ def random_polyharmonic_of_order(rng: random.Random, order: int) -> Polynomial:
     return p
 
 
-def random_point(rng: random.Random, lo: float = -2.0, hi: float = 2.0) -> tuple[float, float, float]:
-    return (rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi))
+def random_point(rng: random.Random) -> tuple[float, float, float]:
+    """A point drawn uniformly from the cube [-1, 1]^3."""
+    return (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
 
 
-def witness_corpus(
-    seed: int = 42,
-    extra: int = 20,
-) -> tuple[tuple[Polynomial, ...], tuple[VectorField, ...]]:
+def witness_corpus(seed: int = 42) -> tuple[tuple[Polynomial, ...], tuple[VectorField, ...]]:
     """Fields used to cross-check the syntactic classifier by evaluation.
 
-    Two fixed witnesses plus ``extra`` random ones per sort.  The random
-    ones bound each exponent (not the total degree) by three: a chain of
-    length five differentiates five times, so certifying that its value
-    is not identically zero takes witnesses of total degree well above
-    five.  Coefficients are drawn from [-5, 5].
+    Two fixed witnesses plus ``WITNESS_DRAWS`` (20) boxed random ones per
+    sort.  The random ones bound each exponent (not the total degree) by
+    three: a chain of length five differentiates five times, so
+    certifying that its value is not identically zero takes witnesses of
+    total degree well above five.  Coefficients are drawn from [-5, 5].
     """
     rng = random.Random(f"{seed}:witness")
     scalars = [_m(2, 1, 0) + _m(0, 0, 1)]
     vectors = [VectorField(_m(0, 1, 1), _m(2, 0, 0), _m(1, 1, 1))]
-    scalars.extend(random_boxed_polynomial(rng, 3, -5, 5) for _ in range(extra))
-    vectors.extend(random_boxed_vector_field(rng, 3, -5, 5) for _ in range(extra))
+    scalars.extend(random_boxed_polynomial(rng, 3) for _ in range(WITNESS_DRAWS))
+    vectors.extend(random_boxed_vector_field(rng, 3) for _ in range(WITNESS_DRAWS))
     return tuple(scalars), tuple(vectors)

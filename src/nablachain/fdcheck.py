@@ -31,30 +31,30 @@ from .operators import Chain, Operator, Sort
 Point = tuple[float, float, float]
 Sample = Union[float, Point]
 
-# Relative tolerance replacing cfg.rel_tol when two quotients nest.
+# Relative tolerances for one quotient and for two nested quotients.
+REL_TOL = 1e-6
 DEPTH2_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
 class FdConfig:
-    """Step size and acceptance tolerances for numeric comparison.
+    """Step size and absolute floor for numeric comparison.
 
     A numeric estimate is accepted when it is within
-    ``max(rel_tol * |exact|, abs_floor)`` of the exact value.
+    ``max(REL_TOL * |exact|, abs_floor)`` of the exact value.
     """
 
     h: float = 1e-3
-    rel_tol: float = 1e-6
     abs_floor: float = 1e-9
 
     def __post_init__(self) -> None:
         if not 0.0 < self.h < 1.0:
             raise ValueError("step size must lie in (0, 1)")
-        if self.rel_tol <= 0.0 or self.abs_floor <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not 0.0 < self.abs_floor < math.inf:
+            raise ValueError("the absolute floor must be positive and finite")
 
     def tolerance(self, exact: float, depth: int = 1) -> float:
-        rel = DEPTH2_REL_TOL if depth >= 2 else self.rel_tol
+        rel = DEPTH2_REL_TOL if depth >= 2 else REL_TOL
         return max(rel * abs(exact), self.abs_floor)
 
 

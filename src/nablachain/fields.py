@@ -6,11 +6,12 @@ coefficients.  An integral coefficient is stored as a plain ``int`` and
 any other as a ``fractions.Fraction``, never as a Fraction with
 denominator 1, so the map is canonical and integer-only work never
 touches Fraction arithmetic.  The public ``Polynomial.terms`` is a
-read-only ``Fraction``-valued view of that map.  Vector fields are
-triples of such polynomials against the standard basis.  All arithmetic
-is exact, so the zero test is decidable: a field is identically zero iff
-every term map is empty.  That is what makes this module usable as
-ground truth for operator identities; floating point never enters.
+read-only ``Fraction``-valued view of that map, rebuilt on each access
+rather than cached.  Vector fields are triples of such polynomials
+against the standard basis.  All arithmetic is exact, so the zero test
+is decidable: a field is identically zero iff every term map is empty.
+That is what makes this module usable as ground truth for operator
+identities; floating point never enters.
 
 The public ``Polynomial(terms)`` constructor validates its input.  Every
 operation in this module builds its result through the private
@@ -104,12 +105,12 @@ class Polynomial:
     Kept canonical at all times: no stored coefficient is zero, and an
     integral one is a plain ``int``, so structural equality of the term
     maps is exact equality of polynomials.  ``terms`` exposes the map as
-    a cached read-only view with ``Fraction`` values.  Instances are
-    treated as immutable; ``_trusted`` is the only constructor the
-    module's own operations use.
+    a read-only view with ``Fraction`` values, rebuilt on each access.
+    Instances are treated as immutable; ``_trusted`` is the only
+    constructor the module's own operations use.
     """
 
-    __slots__ = ("_terms", "_view")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Exponents, Union[int, Fraction]] | None = None):
         canonical: dict[Exponents, Coefficient] = {}
@@ -124,7 +125,6 @@ class Polynomial:
         if len(canonical) > MAX_TERMS:
             raise TermLimitError(f"polynomial with {len(canonical)} terms exceeds the {MAX_TERMS} term budget")
         self._terms = canonical
-        self._view = None
 
     @classmethod
     def _trusted(cls, terms: dict[Exponents, Coefficient]) -> Polynomial:
@@ -138,17 +138,12 @@ class Polynomial:
             raise TermLimitError(f"polynomial with {len(terms)} terms exceeds the {MAX_TERMS} term budget")
         p = object.__new__(cls)
         p._terms = terms
-        p._view = None
         return p
 
     @property
     def terms(self) -> Mapping[Exponents, Fraction]:
-        """The term map with every coefficient as a Fraction (read-only)."""
-        if self._view is None:
-            self._view = MappingProxyType(
-                {e: c if type(c) is Fraction else Fraction(c) for e, c in self._terms.items()}
-            )
-        return self._view
+        """The term map with every coefficient as a Fraction (read-only, not cached)."""
+        return MappingProxyType({e: c if type(c) is Fraction else Fraction(c) for e, c in self._terms.items()})
 
     @classmethod
     def zero(cls) -> Polynomial:
@@ -230,7 +225,7 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> Polynomial:
-        if not isinstance(exponent, int) or exponent < 0:
+        if not _is_int(exponent) or exponent < 0:
             raise ValueError("exponent must be a non-negative int")
         result = Polynomial.constant(1)
         for _ in range(exponent):

@@ -327,7 +327,7 @@ def test_criterion_12_numeric_oracle_agreement(capsys):
                 exact_field = apply_operator(op, field)
                 sampled = as_sampled(field)
                 for _ in range(10):
-                    p = random_point(rng, lo=-1.0, hi=1.0)
+                    p = random_point(rng)
                     got = fd_first_order(op, sampled, p, cfg)
                     want = exact_field.eval_float(p)
                     if not isinstance(want, tuple):

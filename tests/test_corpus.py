@@ -4,6 +4,8 @@ import pytest
 
 from nablachain.collections import CollectionKind, Order, collection_order
 from nablachain.corpus import (
+    COEFF_HI,
+    COEFF_LO,
     HARMONIC_BASIS,
     radius_squared,
     random_boxed_polynomial,
@@ -52,8 +54,8 @@ def test_coefficient_range_is_respected():
     # Duplicate monomials merge, so one coefficient can absorb up to 8 draws.
     rng = random.Random(5)
     for _ in range(50):
-        p = random_polynomial(rng, 3, coeff_lo=-2, coeff_hi=2)
-        assert all(-16 <= c <= 16 for c in p.terms.values())
+        p = random_polynomial(rng, 3)
+        assert all(8 * COEFF_LO <= c <= 8 * COEFF_HI for c in p.terms.values())
 
 
 def test_vector_draws_are_componentwise():
@@ -147,6 +149,4 @@ def test_random_point_bounds():
     for _ in range(50):
         p = random_point(rng)
         assert len(p) == 3
-        assert all(-2.0 <= c <= 2.0 for c in p)
-    q = random_point(rng, lo=-1.0, hi=1.0)
-    assert all(-1.0 <= c <= 1.0 for c in q)
+        assert all(-1.0 <= c <= 1.0 for c in p)

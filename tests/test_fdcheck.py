@@ -10,6 +10,7 @@ from nablachain.errors import (
 )
 from nablachain.fdcheck import (
     DEPTH2_REL_TOL,
+    REL_TOL,
     CrossCheckReport,
     FdConfig,
     SampledField,
@@ -35,7 +36,7 @@ identity = VectorField(x1, x2, x3)
 def test_config_defaults():
     cfg = FdConfig()
     assert cfg.h == 1e-3
-    assert cfg.rel_tol == 1e-6
+    assert REL_TOL == 1e-6
     assert cfg.abs_floor == 1e-9
 
 
@@ -45,8 +46,8 @@ def test_config_defaults():
         {"h": 0.0},
         {"h": 1.0},
         {"h": -1e-3},
-        {"rel_tol": 0.0},
-        {"rel_tol": -1e-6},
+        {"abs_floor": float("inf")},
+        {"abs_floor": float("nan")},
         {"abs_floor": 0.0},
     ],
 )

@@ -67,6 +67,29 @@ def test_integer_coefficients_become_fractions():
     assert isinstance(p.terms[(1, 0, 0)], Fraction)
 
 
+def test_coefficients_are_stored_canonically():
+    # == and hash treat n and Fraction(n) alike, so only the stored map shows
+    # whether an integral result was reduced to int.
+    half = Fraction(1, 2)
+    h = x1 * x1 * half + x2 * Fraction(1, 3)
+    v = VectorField(x1 * x1 * half + x3 * x3 * half, x2 * x2 * half, x1 * x1 * Fraction(1, 3))
+    results = [
+        Polynomial({(1, 0, 0): Fraction(4, 2), (0, 1, 0): half}),
+        loads_field('{"kind": "scalar", "terms": [{"c": "4/2", "e": [1, 0, 0]}, {"c": "1/3", "e": [0, 1, 0]}]}'),
+        h * 3,
+        x1 * half + x1 * half,
+        h.partial(1),
+        curl(v).f2,
+        div(v),
+        laplacian(h),
+    ]
+    # Each result has an integral coefficient reached through Fraction arithmetic.
+    for p in results:
+        stored = p._terms.values()
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in stored), p
+        assert any(type(c) is int for c in stored), p
+
+
 def test_float_coefficients_are_rejected():
     with pytest.raises(TypeError):
         Polynomial({(0, 0, 0): 0.5})
@@ -384,6 +407,13 @@ def test_boolean_coefficients_are_rejected():
         Polynomial({(1, 0, 0): True})
     with pytest.raises(TypeError):
         x1 * True
+
+
+def test_boolean_powers_are_rejected():
+    with pytest.raises(ValueError):
+        x1 ** True
+    with pytest.raises(ValueError):
+        x1 ** False
 
 
 @pytest.mark.parametrize("exps", ["[true, 0, 0]", "[1, 0, false]"])
