@@ -31,9 +31,9 @@ from .collections import (
     collection_order,
 )
 from .errors import FieldFormatError, MeaninglessChainError, NablachainError
-from .fields import Coefficient, _parse_coefficient, apply_chain, dumps_field, eval_at, loads_field
-from .operators import Meaningful, chain_signature
-from .parser import ParseError, parse
+from .fields import Coefficient, _parse_coefficient, apply_chain, dumps_field, loads_field
+from .operators import Chain, Meaningful, chain_signature
+from .parser import ParseError, format_chain, parse
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,7 +74,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     result = classify(c)
     if isinstance(result, TrivialZero):
         i = result.witness_index
-        pair = f"{c[i].value} {c[i + 1].value}"
+        pair = format_chain(Chain(c[i:i + 2]))
         print(
             f"zero ({result.output_sort.value}), "
             f"annihilating pair at position {i}: {pair}"
@@ -127,7 +127,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     if args.at is None:
         print(dumps_field(result))
         return EXIT_OK
-    value = eval_at(result, _parse_point(args.at))
+    value = result.eval(_parse_point(args.at))
     if isinstance(value, tuple):
         if args.json:
             print(json.dumps({"kind": "vector", "value": [str(v) for v in value]}))

@@ -22,8 +22,8 @@ from typing import Union
 from . import fields
 from .classify import TrivialZero, classify, meaningful_chains
 from .errors import NotInCollectionError, SortMismatchError
-from .fields import FieldValue, Polynomial, VectorField, apply_chain, apply_operator, is_zero, sort_of
-from .operators import Chain, Operator, Sort, chain
+from .fields import FieldValue, Polynomial, VectorField, apply_chain, sort_of
+from .operators import Operator, Sort, chain
 from .parser import format_chain
 
 DEFAULT_MAX_ORDER = 16
@@ -74,17 +74,12 @@ def collection_order(kind: CollectionKind, field: FieldValue, max_n: int = DEFAU
         if kind is CollectionKind.HARMONIC:
             current = fields.laplacian(current)
         elif kind is CollectionKind.CURLING:
-            current = apply_operator(Operator.CURL, current)
+            current = apply_chain(chain(Operator.CURL), current)
         else:
             current = fields.vector_laplacian(current)
-        if is_zero(current):
+        if current.is_zero:
             return Order(n)
     return ExceedsBound(max_n)
-
-
-def annihilates(c: Chain, field: FieldValue) -> bool:
-    """Whether the field is killed by the chain, i.e. lies in its collection."""
-    return is_zero(apply_chain(c, field))
 
 
 def _laplacian_power(f: Polynomial, n: int) -> Polynomial:
@@ -145,7 +140,7 @@ def check_vector_harmonic_swap(v: VectorField) -> bool:
     Raises NotInCollectionError when the precondition fails; the identity
     is false off the vector harmonic collection.
     """
-    if not is_zero(fields.vector_laplacian(v)):
+    if not fields.vector_laplacian(v).is_zero:
         raise NotInCollectionError("field is not vector harmonic (componentwise laplacians do not vanish)")
     curl_curl = apply_chain(chain(Operator.CURL, Operator.CURL), v)
     return curl_curl == apply_chain(chain(Operator.GRAD, Operator.DIV), v)
@@ -169,12 +164,12 @@ def third_order_annihilation_report(f: Polynomial, v: VectorField) -> dict[str, 
     applied to f, vector-input chains to v.  Returns chain text mapped to
     whether the result vanished; on such inputs every entry is True.
     """
-    if not is_zero(fields.laplacian(f)):
+    if not fields.laplacian(f).is_zero:
         raise NotInCollectionError("scalar field is not harmonic")
-    if not is_zero(fields.vector_laplacian(v)):
+    if not fields.vector_laplacian(v).is_zero:
         raise NotInCollectionError("vector field is not vector harmonic")
     report = {}
     for c in _ORDER3_CHAINS:
         arg = f if c.innermost.domain == Sort.SCALAR else v
-        report[format_chain(c)] = is_zero(apply_chain(c, arg))
+        report[format_chain(c)] = apply_chain(c, arg).is_zero
     return report

@@ -12,12 +12,11 @@ generator is intentionally simple enough to restate in a sentence each:
   and repeated exponent triples simply merge away, so the draw can
   produce fewer stored terms than requested, including the zero
   polynomial.
-* ``random_boxed_polynomial(rng, max_exponent)``: same term loop, but
-  each exponent is drawn as ``rng.randint(0, max_exponent)``
-  independently, and the coefficient as ``rng.randint(-5, 5)``.  This
-  variant serves ``witness_corpus``: it reaches the high mixed degrees
-  needed to witness that a long derivative chain is not identically
-  zero.
+* ``random_boxed_polynomial(rng)``: same term loop, but each exponent
+  is drawn as ``rng.randint(0, 3)`` independently, and the coefficient
+  as ``rng.randint(-5, 5)``.  This variant serves ``witness_corpus``:
+  it reaches the high mixed degrees needed to witness that a long
+  derivative chain is not identically zero.
 * a vector draw is three scalar draws of its kind, one per component.
 * ``random_point(rng)`` draws each coordinate uniformly from [-1, 1].
 * harmonic draws are integer combinations of a fixed basis of harmonic
@@ -41,6 +40,7 @@ COEFF_HI = 9
 # The boxed draws serve only witness_corpus, with coefficients in [-5, 5].
 WITNESS_COEFF_LO = -5
 WITNESS_COEFF_HI = 5
+WITNESS_MAX_EXPONENT = 3
 WITNESS_DRAWS = 20
 MAX_TERMS_PER_DRAW = 8
 
@@ -67,10 +67,11 @@ def random_polynomial(rng: random.Random, degree: int) -> Polynomial:
     return _draw_terms(rng, exponents, COEFF_LO, COEFF_HI)
 
 
-def random_boxed_polynomial(rng: random.Random, max_exponent: int) -> Polynomial:
-    """A random polynomial with each exponent <= max_exponent independently."""
+def random_boxed_polynomial(rng: random.Random) -> Polynomial:
+    """A random polynomial with each exponent <= WITNESS_MAX_EXPONENT independently."""
     return _draw_terms(
-        rng, lambda: tuple(rng.randint(0, max_exponent) for _ in range(3)), WITNESS_COEFF_LO, WITNESS_COEFF_HI
+        rng, lambda: tuple(rng.randint(0, WITNESS_MAX_EXPONENT) for _ in range(3)),
+        WITNESS_COEFF_LO, WITNESS_COEFF_HI,
     )
 
 
@@ -78,8 +79,8 @@ def random_vector_field(rng: random.Random, degree: int) -> VectorField:
     return VectorField(*(random_polynomial(rng, degree) for _ in range(3)))
 
 
-def random_boxed_vector_field(rng: random.Random, max_exponent: int) -> VectorField:
-    return VectorField(*(random_boxed_polynomial(rng, max_exponent) for _ in range(3)))
+def random_boxed_vector_field(rng: random.Random) -> VectorField:
+    return VectorField(*(random_boxed_polynomial(rng) for _ in range(3)))
 
 
 def _m(e1: int, e2: int, e3: int, c: int = 1) -> Polynomial:
@@ -165,6 +166,6 @@ def witness_corpus(seed: int = 42) -> tuple[tuple[Polynomial, ...], tuple[Vector
     rng = random.Random(f"{seed}:witness")
     scalars = [_m(2, 1, 0) + _m(0, 0, 1)]
     vectors = [VectorField(_m(0, 1, 1), _m(2, 0, 0), _m(1, 1, 1))]
-    scalars.extend(random_boxed_polynomial(rng, 3) for _ in range(WITNESS_DRAWS))
-    vectors.extend(random_boxed_vector_field(rng, 3) for _ in range(WITNESS_DRAWS))
+    scalars.extend(random_boxed_polynomial(rng) for _ in range(WITNESS_DRAWS))
+    vectors.extend(random_boxed_vector_field(rng) for _ in range(WITNESS_DRAWS))
     return tuple(scalars), tuple(vectors)

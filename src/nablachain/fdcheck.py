@@ -158,7 +158,8 @@ def cross_check(
 
     Chains longer than two raise DepthUnsupportedError; the nested
     quotient noise beyond that depth would drown any sensible tolerance.
-    Length-two chains are judged at the relaxed relative tolerance.
+    Length-two chains are judged at the relaxed relative tolerance.  No
+    points raise ValueError: agreement over nothing is no agreement.
     """
     depth = len(c)
     if depth > 2:
@@ -178,8 +179,10 @@ def cross_check(
             deviation = abs(got - want)
             tolerance = cfg.tolerance(want, depth)
             rows.append(CrossCheckRow(point, deviation, tolerance, deviation <= tolerance, want, got))
+    if not rows:
+        raise ValueError("cross_check needs at least one point")
     return CrossCheckReport(
         passed=all(row.ok for row in rows),
-        max_deviation=max((row.deviation for row in rows), default=0.0),
+        max_deviation=max(row.deviation for row in rows),
         rows=tuple(rows),
     )

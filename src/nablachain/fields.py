@@ -339,7 +339,6 @@ class VectorField:
         )
 
 
-ScalarField = Polynomial
 FieldValue = Union[Polynomial, VectorField]
 
 
@@ -403,15 +402,8 @@ def vector_laplacian(v: VectorField) -> VectorField:
     return VectorField(laplacian(v.f1), laplacian(v.f2), laplacian(v.f3))
 
 
+# apply_chain is the only reader, so a hook on grad, curl or div goes there.
 _OPERATORS = {Operator.GRAD: grad, Operator.CURL: curl, Operator.DIV: div}
-
-
-def apply_operator(op: Operator, field: FieldValue) -> FieldValue:
-    """Apply one operator, checking the field sort."""
-    actual = sort_of(field)
-    if actual != op.domain:
-        raise SortMismatchError(op.domain, actual, context=op.value)
-    return _OPERATORS[op](field)
 
 
 def apply_chain(c: Chain, field: FieldValue) -> FieldValue:
@@ -432,16 +424,6 @@ def apply_chain(c: Chain, field: FieldValue) -> FieldValue:
     for op in reversed(c.ops):
         current = _OPERATORS[op](current)
     return current
-
-
-def is_zero(field: FieldValue) -> bool:
-    """Exact identic-zero test."""
-    return field.is_zero
-
-
-def eval_at(field: FieldValue, point):
-    """Exact evaluation: a Fraction for scalars, a triple for vectors."""
-    return field.eval(point)
 
 
 # -- JSON exchange format ----------------------------------------------------
@@ -472,8 +454,6 @@ def _parse_coefficient(text: str) -> Coefficient:
 
 
 def _terms_from_json(entries, where: str) -> Polynomial:
-    if entries is None:
-        return Polynomial.zero()
     if not isinstance(entries, list):
         raise FieldFormatError(f"{where}: terms must be an array")
     seen: dict[Exponents, Coefficient] = {}
@@ -520,10 +500,8 @@ def field_from_json(doc) -> FieldValue:
     if extra:
         raise FieldFormatError(f"{kind} field document has unknown keys {extra!r}")
     if kind == "scalar":
-        return _terms_from_json(doc.get("terms"), "scalar terms")
-    comps = doc.get("components")
-    if comps is None:
-        return VectorField.zero()
+        return _terms_from_json(doc.get("terms", []), "scalar terms")
+    comps = doc.get("components", [[], [], []])
     if not isinstance(comps, list) or len(comps) != 3:
         raise FieldFormatError("vector field needs exactly three components")
     return VectorField(*(_terms_from_json(c, f"component {i + 1}") for i, c in enumerate(comps)))

@@ -46,11 +46,6 @@ _SIGNATURES = {
 }
 
 
-def signature(op: Operator) -> tuple[Sort, Sort]:
-    """Return (domain, codomain) for a single operator."""
-    return _SIGNATURES[op]
-
-
 @dataclass(frozen=True)
 class Meaningless:
     """Result of composing operators whose sorts do not line up.
@@ -115,11 +110,6 @@ class Chain:
 def chain(*ops: Operator) -> Chain:
     """Convenience constructor: ``chain(DIV, GRAD)`` is div after grad."""
     return Chain(tuple(ops))
-
-
-def compose_pair(outer: Operator, inner: Operator) -> ChainSignature:
-    """Signature of outer applied after inner, or MEANINGLESS."""
-    return chain_signature(Chain((outer, inner)))
 
 
 def compose_signatures(outer: ChainSignature, inner: ChainSignature) -> ChainSignature:

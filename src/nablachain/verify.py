@@ -53,7 +53,6 @@ from .classify import (
 from .collections import (
     CollectionKind,
     Order,
-    annihilates,
     check_vector_harmonic_swap,
     check_coordinate_multiple,
     check_squared_coordinate_multiple,
@@ -72,7 +71,7 @@ from .corpus import (
 )
 from .errors import MeaninglessChainError, NablachainError, SortMismatchError
 from .fdcheck import FdConfig, as_sampled, cross_check, fd_partial
-from .fields import FieldValue, Polynomial, VectorField, apply_chain, apply_operator
+from .fields import FieldValue, Polynomial, VectorField, apply_chain
 from .operators import (
     Chain,
     Meaningful,
@@ -81,7 +80,6 @@ from .operators import (
     chain,
     chain_signature,
     compose_signatures,
-    signature,
 )
 from .parser import format_chain
 
@@ -176,7 +174,7 @@ def _check_degree_step(op: Operator, trials: int, seed: int, degree: int) -> Che
     """grad lowers a nonconstant scalar's degree by exactly one; curl and div by at least one."""
 
     def violation(field):
-        out = apply_operator(op, field)
+        out = apply_chain(chain(op), field)
         if op is Operator.GRAD:
             holds = field.degree() < 1 or (not out.is_zero and _degree(out) == field.degree() - 1)
         else:
@@ -249,7 +247,7 @@ def _grouped(outer: tuple[Operator, ...], inner: tuple[Operator, ...], field):
 
 
 def _grouping_signatures_violation(triple: tuple[Operator, ...]) -> Optional[str]:
-    sigs = [Meaningful(*signature(op)) for op in triple]
+    sigs = [Meaningful(op.domain, op.codomain) for op in triple]
     left = compose_signatures(compose_signatures(sigs[0], sigs[1]), sigs[2])
     right = compose_signatures(sigs[0], compose_signatures(sigs[1], sigs[2]))
     flat = chain_signature(Chain(triple))
@@ -349,7 +347,7 @@ def _check_multiplier_keeps_membership(
 
 def _draw_ladder(rng: random.Random, i: int):
     scalars = [random_polyharmonic_of_order(rng, k) for k in (1, 2, 3)]
-    swirl = _ROTATION + apply_operator(Operator.GRAD, random_polynomial(rng, 3))
+    swirl = _ROTATION + apply_chain(chain(Operator.GRAD), random_polynomial(rng, 3))
     w = VectorField(
         random_polyharmonic_of_order(rng, 2),
         random_harmonic_polynomial(rng),
@@ -365,13 +363,13 @@ def _ladder_violation(case) -> Optional[str]:
             return f"scalar f = {f!r}, expected order {k}"
         for m in range(1, k + 1):
             step = nontrivial_chain(Family.GRAD_DIV_ALTERNATING, 2 * m)
-            if annihilates(step, f) != (m >= k):
+            if apply_chain(step, f).is_zero != (m >= k):
                 return f"f = {f!r}, iterate {m} of {k}"
     if collection_order(CollectionKind.CURLING, swirl, 8) != Order(2):
         return f"v = {swirl!r}, expected curling order 2"
-    if annihilates(nontrivial_chain(Family.CURL_POWER, 1), swirl):
+    if apply_chain(nontrivial_chain(Family.CURL_POWER, 1), swirl).is_zero:
         return f"v = {swirl!r}: first curl vanished early"
-    if not annihilates(nontrivial_chain(Family.CURL_POWER, 2), swirl):
+    if not apply_chain(nontrivial_chain(Family.CURL_POWER, 2), swirl).is_zero:
         return f"v = {swirl!r}: second curl did not vanish"
     if collection_order(CollectionKind.VECTOR_HARMONIC, w, 8) != Order(2):
         return f"w = {w!r}, expected vector order 2"

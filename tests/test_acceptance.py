@@ -47,18 +47,15 @@ from nablachain.fields import (
     Polynomial,
     VectorField,
     apply_chain,
-    apply_operator,
-    is_zero,
 )
 from nablachain.operators import (
     Chain,
     Meaningful,
     Operator,
     Sort,
+    chain,
     chain_signature,
-    compose_pair,
     compose_signatures,
-    signature,
 )
 from nablachain.verify import CheckResult
 
@@ -156,7 +153,7 @@ def test_criterion_04_classifier_matches_evaluation(capsys):
                 sig = chain_signature(c)
                 assert isinstance(sig, Meaningful)
                 witnesses = scalars if sig.input is Sort.SCALAR else vectors
-                all_zero = all(is_zero(apply_chain(c, w)) for w in witnesses)
+                all_zero = all(apply_chain(c, w).is_zero for w in witnesses)
                 outcome = classify(c)
                 if isinstance(outcome, TrivialZero):
                     assert all_zero, f"{c} claimed zero but a witness disagrees"
@@ -178,8 +175,7 @@ def test_criterion_05_grouping_agreement(capsys):
             return _UNDEF
 
     def unit_sig(op):
-        domain, codomain = signature(op)
-        return Meaningful(domain, codomain)
+        return Meaningful(op.domain, op.codomain)
 
     def body():
         rng = random.Random(5)
@@ -191,10 +187,10 @@ def test_criterion_05_grouping_agreement(capsys):
                 for o_in in Operator:
                     flat = Chain((o_out, o_mid, o_in))
                     left_sig = compose_signatures(
-                        compose_pair(o_out, o_mid), unit_sig(o_in)
+                        chain_signature(chain(o_out, o_mid)), unit_sig(o_in)
                     )
                     right_sig = compose_signatures(
-                        unit_sig(o_out), compose_pair(o_mid, o_in)
+                        unit_sig(o_out), chain_signature(chain(o_mid, o_in))
                     )
                     assert left_sig == right_sig == chain_signature(flat)
                     for fields in (scalars, vectors):
@@ -204,12 +200,12 @@ def test_criterion_05_grouping_agreement(capsys):
                             left_val = attempt(
                                 lambda: apply_chain(
                                     Chain((o_out, o_mid)),
-                                    apply_operator(o_in, field),
+                                    apply_chain(chain(o_in), field),
                                 )
                             )
                             right_val = attempt(
-                                lambda: apply_operator(
-                                    o_out,
+                                lambda: apply_chain(
+                                    chain(o_out),
                                     apply_chain(Chain((o_mid, o_in)), field),
                                 )
                             )
@@ -226,9 +222,9 @@ def test_criterion_06_annihilation_identities(capsys):
         scalars = [random_polynomial(rng, 4) for _ in range(100)]
         vectors = [random_vector_field(rng, 4) for _ in range(100)]
         for f in scalars:
-            assert is_zero(apply_chain(Chain((C, G)), f))
+            assert apply_chain(Chain((C, G)), f).is_zero
         for v in vectors:
-            assert is_zero(apply_chain(Chain((D, C)), v))
+            assert apply_chain(Chain((D, C)), v).is_zero
         third_order_trivial = (
             Chain((C, C, G)),
             Chain((D, C, G)),
@@ -240,7 +236,7 @@ def test_criterion_06_annihilation_identities(capsys):
             sig = chain_signature(c)
             witnesses = scalars if sig.input is Sort.SCALAR else vectors
             for w in witnesses:
-                assert is_zero(apply_chain(c, w))
+                assert apply_chain(c, w).is_zero
         assert time.perf_counter() - start < 5.0
 
     _run(6, "annihilating pairs vanish exactly", body, capsys)
@@ -324,7 +320,7 @@ def test_criterion_12_numeric_oracle_agreement(capsys):
         for op, draw in plans:
             for _ in range(20):
                 field = draw()
-                exact_field = apply_operator(op, field)
+                exact_field = apply_chain(chain(op), field)
                 sampled = as_sampled(field)
                 for _ in range(10):
                     p = random_point(rng)

@@ -321,6 +321,13 @@ def _assert_one_line_error(capsys):
     return captured.err
 
 
+def test_apply_null_terms_exits_one(tmp_path, capsys):
+    path = tmp_path / "null.json"
+    path.write_text('{"kind": "scalar", "terms": null}', encoding="utf-8")
+    assert main(["apply", "--chain", "grad", "--field", str(path)]) == 1
+    assert "terms must be an array" in _assert_one_line_error(capsys)
+
+
 def test_apply_non_utf8_field_file(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"kind": "scalar", "terms": [{"c": "1", "e": [1, 0, 0]}]} é'.encode("latin-1"))

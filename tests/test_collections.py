@@ -6,7 +6,6 @@ from nablachain.collections import (
     CollectionKind,
     ExceedsBound,
     Order,
-    annihilates,
     check_coordinate_multiple,
     check_squared_coordinate_multiple,
     check_vector_harmonic_swap,
@@ -19,7 +18,7 @@ from nablachain.corpus import (
     random_polynomial,
 )
 from nablachain.errors import NotInCollectionError, SortMismatchError
-from nablachain.fields import Polynomial, VectorField, laplacian
+from nablachain.fields import Polynomial, VectorField, apply_chain, laplacian
 from nablachain.operators import Chain, Operator
 
 G, C, D = Operator.GRAD, Operator.CURL, Operator.DIV
@@ -74,9 +73,9 @@ def test_required_sorts():
 
 
 def test_annihilates_examples():
-    assert annihilates(Chain((D, G)), x1 * x2 * x3)
-    assert not annihilates(Chain((D, G)), x1 * x1)
-    assert annihilates(Chain((C, C)), rot)
+    assert apply_chain(Chain((D, G)), x1 * x2 * x3).is_zero
+    assert not apply_chain(Chain((D, G)), x1 * x1).is_zero
+    assert apply_chain(Chain((C, C)), rot).is_zero
 
 
 def test_zero_field_has_order_one():
@@ -223,6 +222,6 @@ def test_iterates_kill_at_and_above_the_order():
     f = random_polyharmonic_of_order(rng, 3)
     lap2 = Chain((D, G, D, G))
     lap3 = Chain((D, G, D, G, D, G))
-    assert not annihilates(Chain((D, G)), f)
-    assert not annihilates(lap2, f)
-    assert annihilates(lap3, f)
+    assert not apply_chain(Chain((D, G)), f).is_zero
+    assert not apply_chain(lap2, f).is_zero
+    assert apply_chain(lap3, f).is_zero

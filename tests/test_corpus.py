@@ -45,7 +45,7 @@ def test_random_polynomial_degree_bound():
 def test_random_boxed_polynomial_exponent_bound():
     rng = random.Random(4)
     for _ in range(50):
-        p = random_boxed_polynomial(rng, 3)
+        p = random_boxed_polynomial(rng)
         for exps in p.terms:
             assert all(e <= 3 for e in exps)
 
@@ -62,7 +62,7 @@ def test_vector_draws_are_componentwise():
     rng = random.Random(6)
     v = random_vector_field(rng, 4)
     assert isinstance(v, VectorField)
-    w = random_boxed_vector_field(rng, 3)
+    w = random_boxed_vector_field(rng)
     for comp in w.components:
         for exps in comp.terms:
             assert all(e <= 3 for e in exps)

@@ -180,6 +180,11 @@ def test_cross_check_rejects_meaningless_pairs():
         cross_check(Chain((G, G)), x1, [(0.0, 0.0, 0.0)])
 
 
+def test_cross_check_needs_a_point():
+    with pytest.raises(ValueError):
+        cross_check(Chain((G,)), x1, [])
+
+
 def test_cross_check_row_bookkeeping():
     points = [(0.1, 0.1, 0.1), (0.2, 0.3, 0.4), (-0.5, 0.6, -0.7)]
     report = cross_check(Chain((G,)), r2, points)

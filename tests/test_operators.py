@@ -9,16 +9,14 @@ from nablachain.operators import (
     Sort,
     chain,
     chain_signature,
-    compose_pair,
     compose_signatures,
-    signature,
 )
 
 
 def test_operator_signatures():
-    assert signature(Operator.GRAD) == (Sort.SCALAR, Sort.VECTOR)
-    assert signature(Operator.CURL) == (Sort.VECTOR, Sort.VECTOR)
-    assert signature(Operator.DIV) == (Sort.VECTOR, Sort.SCALAR)
+    assert (Operator.GRAD.domain, Operator.GRAD.codomain) == (Sort.SCALAR, Sort.VECTOR)
+    assert (Operator.CURL.domain, Operator.CURL.codomain) == (Sort.VECTOR, Sort.VECTOR)
+    assert (Operator.DIV.domain, Operator.DIV.codomain) == (Sort.VECTOR, Sort.SCALAR)
 
 
 def test_domain_codomain_properties():
@@ -42,7 +40,7 @@ def test_domain_codomain_properties():
     ],
 )
 def test_compose_pair(outer, inner, expected):
-    assert compose_pair(outer, inner) == expected
+    assert chain_signature(chain(outer, inner)) == expected
 
 
 def test_compose_signatures_absorbs_meaningless():

@@ -1,0 +1,38 @@
+import importlib
+import types
+
+import pytest
+
+import nablachain
+
+# Each restated another public spelling; the one that stays is named in README.
+REMOVED = {
+    "ScalarField": "fields",
+    "is_zero": "fields",
+    "eval_at": "fields",
+    "apply_operator": "fields",
+    "annihilates": "collections",
+    "signature": "operators",
+    "compose_pair": "operators",
+}
+
+
+def test_all_is_sorted_and_unique():
+    assert nablachain.__all__ == sorted(set(nablachain.__all__))
+
+
+def test_all_names_the_public_attributes():
+    for name in nablachain.__all__:
+        assert hasattr(nablachain, name), name
+    public = {
+        name
+        for name, value in vars(nablachain).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(nablachain.__all__)
+
+
+@pytest.mark.parametrize("name, module", sorted(REMOVED.items()))
+def test_removed_spellings_are_gone(name, module):
+    assert not hasattr(nablachain, name)
+    assert not hasattr(importlib.import_module(f"nablachain.{module}"), name)
