@@ -40,16 +40,7 @@ from .errors import (
     SortMismatchError,
     TermLimitError,
 )
-from .fdcheck import (
-    CrossCheckReport,
-    FdConfig,
-    SampledField,
-    as_sampled,
-    cross_check,
-    fd_apply,
-    fd_first_order,
-    fd_partial,
-)
+from .fdcheck import CrossCheckReport, FdConfig, cross_check
 from .fields import (
     FieldValue,
     Polynomial,
@@ -108,14 +99,12 @@ __all__ = [
     "OrderResult",
     "ParseError",
     "Polynomial",
-    "SampledField",
     "Sort",
     "SortMismatchError",
     "TermLimitError",
     "TrivialZero",
     "VectorField",
     "apply_chain",
-    "as_sampled",
     "census",
     "chain",
     "chain_signature",
@@ -129,9 +118,6 @@ __all__ = [
     "curl",
     "div",
     "dumps_field",
-    "fd_apply",
-    "fd_first_order",
-    "fd_partial",
     "field_from_json",
     "field_to_json",
     "format_chain",

@@ -2,16 +2,19 @@
 
 The whole point of this module is to distrust ``fields``: derivatives
 are estimated only from point samples, so agreement between the two
-routes checks both at once.  There is one stencil, a column: along axis
-k it samples the field at ``p + h e_k`` and ``p - h e_k`` and takes the
-symmetric quotient ``(f(p + h e) - f(p - h e)) / 2h`` of every component.
-grad, curl and div are read off the three columns, six samples in all,
-with an O(h^2) truncation error.  Nesting two quotients divides machine
-epsilon by h^2, so length-two chains are judged against a relaxed
-relative tolerance, and chains longer than two are refused rather than
-checked badly.  Every component of every sample, exact or numeric, must
-be finite; a non-finite value or a float overflow raises
-NumericalFailureError.
+routes checks both at once.  ``cross_check`` is the only entry: its
+sampled route starts from the field's ``eval_float`` and chains
+``_fd_apply`` over the operators, after ``apply_chain`` has already
+rejected a meaningless chain or a wrong sort.  There is one stencil, a
+column: along axis k it samples the field at ``p + h e_k`` and
+``p - h e_k`` and takes the symmetric quotient
+``(f(p + h e) - f(p - h e)) / 2h`` of every component.  grad, curl and
+div are read off the three columns, six samples in all, with an O(h^2)
+truncation error.  Nesting two quotients divides machine epsilon by h^2,
+so length-two chains are judged against a relaxed relative tolerance,
+and chains longer than two are refused rather than checked badly.
+Every component of every sample, exact or numeric, must be finite; a
+non-finite value or a float overflow raises NumericalFailureError.
 """
 
 from __future__ import annotations
@@ -20,13 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
-from .errors import (
-    DepthUnsupportedError,
-    NumericalFailureError,
-    SortMismatchError,
-)
-from .fields import FieldValue, _check_axis, apply_chain, sort_of
-from .operators import Chain, Operator, Sort
+from .errors import DepthUnsupportedError, NumericalFailureError
+from .fields import FieldValue, apply_chain
+from .operators import Chain, Operator
 
 Point = tuple[float, float, float]
 Sample = Union[float, Point]
@@ -58,18 +57,6 @@ class FdConfig:
         return max(rel * abs(exact), self.abs_floor)
 
 
-@dataclass(frozen=True)
-class SampledField:
-    """A field known only through point evaluation."""
-
-    sort: Sort
-    evaluate: Callable[[Point], Sample]
-
-
-def as_sampled(field: FieldValue) -> SampledField:
-    return SampledField(sort_of(field), field.eval_float)
-
-
 def _shifted(point: Point, axis: int, delta: float) -> Point:
     moved = list(point)
     moved[axis - 1] += delta
@@ -96,39 +83,22 @@ def _column(f: Callable[[Point], Sample], axis: int, point: Point, h: float) -> 
     return tuple([(u - l) / (2.0 * h) for u, l in zip(upper, lower)])
 
 
-def fd_partial(field: SampledField, axis: int, point: Point, cfg: FdConfig) -> float:
-    """Symmetric difference quotient of a scalar field along one axis."""
-    if field.sort is not Sort.SCALAR:
-        raise SortMismatchError(Sort.SCALAR, field.sort, context="fd_partial")
-    _check_axis(axis)
-    return _column(field.evaluate, axis, point, cfg.h)[0]
-
-
-def fd_first_order(op: Operator, field: SampledField, point: Point, cfg: FdConfig) -> Sample:
-    """One numeric first-order operation at a point.
+def _fd_apply(op: Operator, f: Callable[[Point], Sample], h: float) -> Callable[[Point], Sample]:
+    """The sampled function of one first-order operation on f.
 
     Column ``dk`` holds the quotient of every component along axis k, so
     ``dk[i]`` estimates the partial of component i + 1 along axis k.
     """
-    if field.sort is not op.domain:
-        raise SortMismatchError(op.domain, field.sort, context=op.value)
-    d1, d2, d3 = (_column(field.evaluate, axis, point, cfg.h) for axis in (1, 2, 3))
-    if op is Operator.GRAD:
-        return (d1[0], d2[0], d3[0])
-    if op is Operator.CURL:
-        return (d2[2] - d3[1], d3[0] - d1[2], d1[1] - d2[0])
-    return d1[0] + d2[1] + d3[2]
-
-
-def fd_apply(op: Operator, field: SampledField, cfg: FdConfig) -> SampledField:
-    """Wrap a numeric first-order operation as another sampled field."""
-    if field.sort is not op.domain:
-        raise SortMismatchError(op.domain, field.sort, context=op.value)
 
     def evaluate(point: Point) -> Sample:
-        return fd_first_order(op, field, point, cfg)
+        d1, d2, d3 = (_column(f, axis, point, h) for axis in (1, 2, 3))
+        if op is Operator.GRAD:
+            return (d1[0], d2[0], d3[0])
+        if op is Operator.CURL:
+            return (d2[2] - d3[1], d3[0] - d1[2], d1[1] - d2[0])
+        return d1[0] + d2[1] + d3[2]
 
-    return SampledField(op.codomain, evaluate)
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -167,14 +137,14 @@ def cross_check(
             f"numeric route supports chains of length <= 2, got {depth}"
         )
     exact = apply_chain(c, field)
-    numeric = as_sampled(field)
+    numeric = field.eval_float
     for op in reversed(c.ops):
-        numeric = fd_apply(op, numeric, cfg)
+        numeric = _fd_apply(op, numeric, cfg.h)
 
     rows = []
     for point in points:
         exact_value = _sample(exact.eval_float, point)
-        numeric_value = _sample(numeric.evaluate, point)
+        numeric_value = _sample(numeric, point)
         for want, got in zip(exact_value, numeric_value):
             deviation = abs(got - want)
             tolerance = cfg.tolerance(want, depth)

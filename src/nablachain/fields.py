@@ -248,7 +248,7 @@ class Polynomial:
         return total
 
     def eval_float(self, point) -> float:
-        """Floating-point evaluation, for handing to sampled-field code."""
+        """Floating-point evaluation, for the finite-difference oracle."""
         x1, x2, x3 = (float(v) for v in point)
         total = 0.0
         for (e1, e2, e3), c in self._terms.items():

@@ -42,7 +42,7 @@ from nablachain.corpus import (
     witness_corpus,
 )
 from nablachain.errors import MeaninglessChainError, SortMismatchError
-from nablachain.fdcheck import FdConfig, as_sampled, fd_first_order, fd_partial
+from nablachain.fdcheck import FdConfig, cross_check
 from nablachain.fields import (
     Polynomial,
     VectorField,
@@ -320,22 +320,13 @@ def test_criterion_12_numeric_oracle_agreement(capsys):
         for op, draw in plans:
             for _ in range(20):
                 field = draw()
-                exact_field = apply_chain(chain(op), field)
-                sampled = as_sampled(field)
-                for _ in range(10):
-                    p = random_point(rng)
-                    got = fd_first_order(op, sampled, p, cfg)
-                    want = exact_field.eval_float(p)
-                    if not isinstance(want, tuple):
-                        got, want = (got,), (want,)
-                    for g, w in zip(got, want):
-                        assert abs(g - w) <= max(1e-6 * abs(w), 1e-9)
+                points = [random_point(rng) for _ in range(10)]
+                # Each row is held to max(1e-6 * |w|, 1e-9) at depth one.
+                assert cross_check(chain(op), field, points, cfg).passed
         quartic = x1 * x1 * x1 * x1
-        sampled = as_sampled(quartic)
-        point = (1.0, 0.0, 0.0)
 
         def error(h):
-            return abs(fd_partial(sampled, 1, point, FdConfig(h=h)) - 4.0)
+            return cross_check(chain(G), quartic, [(1.0, 0.0, 0.0)], FdConfig(h=h)).rows[0].deviation
 
         ratio = error(1e-2) / error(1e-3)
         assert 25.0 <= ratio <= 400.0

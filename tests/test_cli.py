@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nablachain
 from nablachain.cli import main, run
 from nablachain.verify import CheckResult
 
@@ -302,6 +306,15 @@ def test_run_wraps_main(monkeypatch, capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("nontrivial")
+
+
+@pytest.mark.parametrize("module", ["nablachain", "nablachain.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(nablachain.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", module, "classify", "div curl"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == "zero (scalar), annihilating pair at position 0: div curl\n"
 
 
 def test_apply_deeply_nested_document(tmp_path, capsys):

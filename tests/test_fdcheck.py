@@ -8,20 +8,16 @@ from nablachain.errors import (
     NumericalFailureError,
     SortMismatchError,
 )
+from nablachain import fdcheck
 from nablachain.fdcheck import (
     DEPTH2_REL_TOL,
     REL_TOL,
     CrossCheckReport,
     FdConfig,
-    SampledField,
-    as_sampled,
     cross_check,
-    fd_apply,
-    fd_first_order,
-    fd_partial,
 )
 from nablachain.fields import Polynomial, VectorField
-from nablachain.operators import Chain, Operator, Sort
+from nablachain.operators import Chain, Operator
 
 G, C, D = Operator.GRAD, Operator.CURL, Operator.DIV
 
@@ -64,88 +60,67 @@ def test_tolerance_depth_semantics():
 
 
 def test_fd_partial_square():
-    cfg = FdConfig()
-    got = fd_partial(as_sampled(x1 * x1), 1, (1.0, 0.0, 0.0), cfg)
-    assert abs(got - 2.0) <= cfg.tolerance(2.0)
+    report = cross_check(Chain((G,)), x1 * x1, [(1.0, 0.0, 0.0)])
+    assert report.passed
+    assert report.rows[0].exact == 2.0
 
 
 def test_fd_partial_constant():
-    cfg = FdConfig()
-    got = fd_partial(as_sampled(Polynomial.constant(5)), 2, (0.3, -0.7, 1.1), cfg)
-    assert abs(got) <= cfg.abs_floor
+    report = cross_check(Chain((G,)), Polynomial.constant(5), [(0.3, -0.7, 1.1)])
+    assert all(row.deviation <= FdConfig().abs_floor for row in report.rows)
 
 
 def test_fd_partial_mixed_product():
-    cfg = FdConfig()
-    prod = x1 * x2 * x3
-    got = fd_partial(as_sampled(prod), 2, (2.0, 1.0, 3.0), cfg)
-    assert abs(got - 6.0) <= cfg.tolerance(6.0)
+    report = cross_check(Chain((G,)), x1 * x2 * x3, [(2.0, 1.0, 3.0)])
+    assert report.passed
+    assert report.rows[1].exact == 6.0
 
 
 def test_fd_partial_rejects_vector_input():
     with pytest.raises(SortMismatchError):
-        fd_partial(as_sampled(rot), 1, (0.0, 0.0, 0.0), FdConfig())
-
-
-def test_fd_partial_rejects_bad_axis():
-    with pytest.raises(ValueError):
-        fd_partial(as_sampled(x1), 4, (0.0, 0.0, 0.0), FdConfig())
-
-
-@pytest.mark.parametrize("axis", [True, 1.0])
-def test_fd_partial_rejects_non_int_axes_like_partial(axis):
-    # The axis rule of Polynomial.partial: a bool or a float is not an axis.
-    with pytest.raises(ValueError):
-        fd_partial(as_sampled(x1), axis, (0.0, 0.0, 0.0), FdConfig())
+        cross_check(Chain((G,)), rot, [(0.0, 0.0, 0.0)])
 
 
 def test_fd_first_order_div_of_identity():
-    cfg = FdConfig()
-    got = fd_first_order(D, as_sampled(identity), (0.2, -0.4, 0.9), cfg)
-    assert abs(got - 3.0) <= cfg.tolerance(3.0)
+    report = cross_check(Chain((D,)), identity, [(0.2, -0.4, 0.9)])
+    assert report.passed
+    assert report.rows[0].exact == 3.0
 
 
 def test_fd_first_order_curl_of_rotation():
-    cfg = FdConfig()
-    got = fd_first_order(C, as_sampled(rot), (0.5, 0.5, 0.5), cfg)
-    assert abs(got[0]) <= cfg.abs_floor
-    assert abs(got[1]) <= cfg.abs_floor
-    assert abs(got[2] - 2.0) <= cfg.tolerance(2.0)
+    report = cross_check(Chain((C,)), rot, [(0.5, 0.5, 0.5)])
+    assert report.passed
+    assert [row.exact for row in report.rows] == [0.0, 0.0, 2.0]
 
 
 def test_fd_first_order_grad_of_transcendental():
-    # The sampler takes arbitrary callables, not just polynomial closures.
-    field = SampledField(Sort.SCALAR, lambda p: math.sin(p[0]))
-    got = fd_first_order(G, field, (0.0, 0.0, 0.0), FdConfig())
+    # The stencil takes arbitrary callables, not just polynomial closures.
+    got = fdcheck._fd_apply(G, lambda p: math.sin(p[0]), FdConfig().h)((0.0, 0.0, 0.0))
     assert got[0] == pytest.approx(1.0, abs=1e-6)
     assert got[1] == pytest.approx(0.0, abs=1e-9)
     assert got[2] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fd_first_order_sort_mismatch():
-    cfg = FdConfig()
     with pytest.raises(SortMismatchError):
-        fd_first_order(G, as_sampled(rot), (0.0, 0.0, 0.0), cfg)
+        cross_check(Chain((G,)), rot, [(0.0, 0.0, 0.0)])
     with pytest.raises(SortMismatchError):
-        fd_first_order(D, as_sampled(x1), (0.0, 0.0, 0.0), cfg)
+        cross_check(Chain((D,)), x1, [(0.0, 0.0, 0.0)])
+
+
+def test_cross_check_rejects_a_wrong_sort_before_sampling(monkeypatch):
+    # apply_chain's sort check is the only one: curl of a scalar samples nothing.
+    calls = []
+    monkeypatch.setattr(Polynomial, "eval_float", lambda self, point: calls.append(point))
+    with pytest.raises(SortMismatchError):
+        cross_check(Chain((C,)), x1, [(0.0, 0.0, 0.0)])
+    assert calls == []
 
 
 def test_non_finite_samples_are_reported():
-    bad = SampledField(Sort.SCALAR, lambda p: float("inf"))
-    with pytest.raises(NumericalFailureError):
-        fd_partial(bad, 1, (0.0, 0.0, 0.0), FdConfig())
-    nan = SampledField(Sort.SCALAR, lambda p: float("nan"))
-    with pytest.raises(NumericalFailureError):
-        fd_first_order(G, nan, (0.0, 0.0, 0.0), FdConfig())
-
-
-def test_fd_apply_propagates_sorts():
-    grad = fd_apply(G, as_sampled(r2), FdConfig())
-    assert grad.sort is Sort.VECTOR
-    div = fd_apply(D, grad, FdConfig())
-    assert div.sort is Sort.SCALAR
-    with pytest.raises(SortMismatchError):
-        fd_apply(C, as_sampled(x1), FdConfig())
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(NumericalFailureError):
+            fdcheck._fd_apply(G, lambda p: bad, FdConfig().h)((0.0, 0.0, 0.0))
 
 
 def test_cross_check_depth_two_laplacian():
@@ -218,7 +193,7 @@ def test_curl_samples_its_field_six_times():
         calls.append(point)
         return rot.eval_float(point)
 
-    got = fd_first_order(C, SampledField(Sort.VECTOR, evaluate), (0.5, 0.5, 0.5), FdConfig())
+    got = fdcheck._fd_apply(C, evaluate, FdConfig().h)((0.5, 0.5, 0.5))
     assert len(calls) == 6
     assert abs(got[2] - 2.0) <= FdConfig().tolerance(2.0)
 
@@ -226,9 +201,8 @@ def test_curl_samples_its_field_six_times():
 @pytest.mark.parametrize("op", [C, D])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_vector_component_is_reported(op, bad):
-    field = SampledField(Sort.VECTOR, lambda p: (0.0, bad, 1.0))
     with pytest.raises(NumericalFailureError):
-        fd_first_order(op, field, (0.0, 0.0, 0.0), FdConfig())
+        fdcheck._fd_apply(op, lambda p: (0.0, bad, 1.0), FdConfig().h)((0.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -248,6 +222,6 @@ def test_cross_check_rows_hold_the_exact_values():
 
 def test_fd_curl_matches_exact_on_every_component():
     # curl (x3, x1, x2) = (1, 1, 1): a sign slip in any component shows.
-    cfg = FdConfig()
-    got = fd_first_order(C, as_sampled(VectorField(x3, x1, x2)), (0.3, -0.6, 0.2), cfg)
-    assert all(abs(g - 1.0) <= cfg.tolerance(1.0) for g in got)
+    report = cross_check(Chain((C,)), VectorField(x3, x1, x2), [(0.3, -0.6, 0.2)])
+    assert report.passed
+    assert [row.exact for row in report.rows] == [1.0, 1.0, 1.0]

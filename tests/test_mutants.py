@@ -1,15 +1,21 @@
 """Engine mutants must be caught: each one makes some verify suite exit 3.
 
-Every mutant is installed with one patch at the single binding its
-operator has (``fields._OPERATORS`` for grad, curl and div, the
-``fields.laplacian`` attribute for the laplacian), which is enough to
-reach every caller in the package.  No suite may exit with anything but
-0 or 3 under a mutant: a broken engine is a violation, not bad input.
+Every mutant is installed with one patch at the single binding it
+changes, which is enough to reach every caller in the package:
+``fields._OPERATORS`` for grad, curl and div, the ``fields.laplacian``
+attribute for the laplacian, ``fdcheck._column`` for the oracle's
+stencil and ``ANNIHILATING_PAIRS`` for the classifier.  The classifier's
+module is reached through ``importlib``, because the package attribute
+``nablachain.classify`` is the re-exported function.  No suite may exit
+with anything but 0 or 3 under a mutant: a broken engine is a
+violation, not bad input.
 """
+
+import importlib
 
 import pytest
 
-from nablachain import fields, verify
+from nablachain import fdcheck, fields, verify
 from nablachain.cli import main
 from nablachain.collections import CollectionKind, ExceedsBound, collection_order
 from nablachain.fields import Polynomial, VectorField
@@ -36,22 +42,35 @@ def _grad_swapped_12(f):
     return VectorField(g2, g1, g3)
 
 
+def _column_over_h(f, axis, point, h):
+    upper = fdcheck._sample(f, fdcheck._shifted(point, axis, h))
+    lower = fdcheck._sample(f, fdcheck._shifted(point, axis, -h))
+    return tuple([(u - l) / h for u, l in zip(upper, lower)])
+
+
+# (module or table, binding, replacement)
 MUTANTS = {
-    "laplacian n*n": ("laplacian", _laplacian_n_squared),
-    "div without x3": (Operator.DIV, _div_without_x3),
-    "curl components 2 and 3 swapped": (Operator.CURL, _curl_swapped_23),
-    "grad doubled": (Operator.GRAD, _grad_doubled),
-    "grad components 1 and 2 swapped": (Operator.GRAD, _grad_swapped_12),
+    "laplacian n*n": (fields, "laplacian", _laplacian_n_squared),
+    "div without x3": (fields._OPERATORS, Operator.DIV, _div_without_x3),
+    "curl components 2 and 3 swapped": (fields._OPERATORS, Operator.CURL, _curl_swapped_23),
+    "grad doubled": (fields._OPERATORS, Operator.GRAD, _grad_doubled),
+    "grad components 1 and 2 swapped": (fields._OPERATORS, Operator.GRAD, _grad_swapped_12),
+    "oracle column divides by h, not 2h": (fdcheck, "_column", _column_over_h),
+    "classifier misses curl-grad": (
+        importlib.import_module("nablachain.classify"),
+        "ANNIHILATING_PAIRS",
+        ((Operator.DIV, Operator.CURL),),
+    ),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_mutant_fails_some_suite(mutant, monkeypatch, capsys):
-    binding, replacement = MUTANTS[mutant]
-    if binding == "laplacian":
-        monkeypatch.setattr(fields, "laplacian", replacement)
+    target, binding, replacement = MUTANTS[mutant]
+    if isinstance(target, dict):
+        monkeypatch.setitem(target, binding, replacement)
     else:
-        monkeypatch.setitem(fields._OPERATORS, binding, replacement)
+        monkeypatch.setattr(target, binding, replacement)
     codes = {suite: main(["verify", "--suite", suite, "--trials", "5"]) for suite in sorted(verify.SUITES)}
     capsys.readouterr()
     assert set(codes.values()) <= {0, 3}, codes
