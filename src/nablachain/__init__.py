@@ -49,8 +49,6 @@ from .fields import (
     curl,
     div,
     dumps_field,
-    field_from_json,
-    field_to_json,
     grad,
     laplacian,
     loads_field,
@@ -118,8 +116,6 @@ __all__ = [
     "curl",
     "div",
     "dumps_field",
-    "field_from_json",
-    "field_to_json",
     "format_chain",
     "grad",
     "laplacian",

@@ -27,8 +27,9 @@ where each component of a vector document is a terms array, "c" is an
 integer or integer-ratio string in ASCII digits (``-?[0-9]+`` or
 ``-?[0-9]+/[0-9]+``, nothing else), and "e" is the exponent triple.  An
 empty or missing terms array denotes the zero field; a repeated exponent
-triple, and any key the format does not name, is an input error rather
-than something silently merged or ignored.
+triple, a key repeated in any object, and any key the format does not
+name, is an input error rather than something silently merged or
+ignored.
 """
 
 from __future__ import annotations
@@ -60,6 +61,11 @@ MAX_TERMS = 10**6
 def _is_int(value) -> bool:
     """An int that is not a bool: JSON true/false must not pass as 1/0."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_exponents(e) -> bool:
+    """Three non-negative ints, none a bool: ``_is_int`` inlined, as the decoder's hot loop."""
+    return len(e) == 3 and all(isinstance(x, int) and type(x) is not bool and x >= 0 for x in e)
 
 
 def _check_axis(axis) -> None:
@@ -117,7 +123,7 @@ class Polynomial:
         if terms:
             for exps, coeff in terms.items():
                 e = tuple(exps)
-                if len(e) != 3 or any(not _is_int(x) or x < 0 for x in e):
+                if not _is_exponents(e):
                     raise ValueError(f"exponents must be a triple of non-negative ints, got {exps!r}")
                 c = _coerce_coeff(coeff)
                 if c != 0:
@@ -438,6 +444,8 @@ def _terms_to_json(p: Polynomial) -> list[dict]:
 # pattern with an optional ratio group costs a quarter more per coefficient.
 _INTEGER = re.compile(r"-?[0-9]+")
 _RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
+# One decoder for every call: json.loads with a hook builds a new one each time.
+_DECODER = json.JSONDecoder(object_pairs_hook=tuple)
 
 
 def _parse_coefficient(text: str) -> Coefficient:
@@ -453,20 +461,20 @@ def _parse_coefficient(text: str) -> Coefficient:
     return _canonical(Fraction(numerator, denominator))
 
 
-def _terms_from_json(entries, where: str) -> Polynomial:
+def _terms_from_pairs(entries, where: str) -> Polynomial:
     if not isinstance(entries, list):
         raise FieldFormatError(f"{where}: terms must be an array")
     seen: dict[Exponents, Coefficient] = {}
     for entry in entries:
-        if not isinstance(entry, dict) or len(entry) != 2 or "c" not in entry or "e" not in entry:
+        # An object arrives as its (key, value) pairs: a repeated key leaves "c" or "e" out.
+        if type(entry) is not tuple or len(entry) != 2:
             raise FieldFormatError(f"{where}: each term needs exactly the keys 'c' and 'e'")
-        raw_c, raw_e = entry["c"], entry["e"]
-        # The _is_int rule, inlined: this is the decoder's hot loop.
-        if not (
-            isinstance(raw_e, list)
-            and len(raw_e) == 3
-            and all(isinstance(x, int) and type(x) is not bool and x >= 0 for x in raw_e)
-        ):
+        (k1, raw_c), (k2, raw_e) = entry
+        if k1 == "e":
+            k1, raw_c, k2, raw_e = k2, raw_e, k1, raw_c
+        if k1 != "c" or k2 != "e":
+            raise FieldFormatError(f"{where}: each term needs exactly the keys 'c' and 'e'")
+        if not (isinstance(raw_e, list) and _is_exponents(raw_e)):
             raise FieldFormatError(f"{where}: 'e' must be three non-negative integers, got {raw_e!r}")
         if not isinstance(raw_c, str):
             raise FieldFormatError(f"{where}: 'c' must be a string, got {raw_c!r}")
@@ -481,17 +489,25 @@ def _terms_from_json(entries, where: str) -> Polynomial:
     return _finish(seen)
 
 
-def field_to_json(field: FieldValue) -> dict:
-    """Encode a field as the documented JSON structure."""
+def dumps_field(field: FieldValue) -> str:
+    """Encode a field as its canonical JSON document."""
     if isinstance(field, Polynomial):
-        return {"kind": "scalar", "terms": _terms_to_json(field)}
-    return {"kind": "vector", "components": [_terms_to_json(c) for c in field.components]}
+        return json.dumps({"kind": "scalar", "terms": _terms_to_json(field)})
+    return json.dumps({"kind": "vector", "components": [_terms_to_json(c) for c in field.components]})
 
 
-def field_from_json(doc) -> FieldValue:
+def loads_field(text: str) -> FieldValue:
     """Decode a field document; raises FieldFormatError on any defect."""
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise FieldFormatError("field document must be an object with a 'kind'")
+    try:
+        pairs = _DECODER.decode(text)
+    except ValueError as exc:
+        # JSONDecodeError, and an integer past the interpreter's digit limit.
+        raise FieldFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FieldFormatError("field document is nested too deeply") from exc
+    doc = dict(pairs) if type(pairs) is tuple else {}
+    if "kind" not in doc or len(doc) != len(pairs):
+        raise FieldFormatError("field document must be an object with a 'kind' and no key repeated")
     kind = doc["kind"]
     if kind not in ("scalar", "vector"):
         raise FieldFormatError(f"unknown field kind {kind!r}")
@@ -500,21 +516,8 @@ def field_from_json(doc) -> FieldValue:
     if extra:
         raise FieldFormatError(f"{kind} field document has unknown keys {extra!r}")
     if kind == "scalar":
-        return _terms_from_json(doc.get("terms", []), "scalar terms")
+        return _terms_from_pairs(doc.get("terms", []), "scalar terms")
     comps = doc.get("components", [[], [], []])
     if not isinstance(comps, list) or len(comps) != 3:
         raise FieldFormatError("vector field needs exactly three components")
-    return VectorField(*(_terms_from_json(c, f"component {i + 1}") for i, c in enumerate(comps)))
-
-
-def dumps_field(field: FieldValue) -> str:
-    return json.dumps(field_to_json(field))
-
-
-def loads_field(text: str) -> FieldValue:
-    try:
-        return field_from_json(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise FieldFormatError(f"not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise FieldFormatError("field document is nested too deeply") from exc
+    return VectorField(*(_terms_from_pairs(c, f"component {i + 1}") for i, c in enumerate(comps)))

@@ -348,6 +348,22 @@ def test_apply_non_utf8_field_file(tmp_path, capsys):
     assert "cannot read" in _assert_one_line_error(capsys)
 
 
+def test_apply_repeated_key_exits_one(tmp_path, capsys):
+    # Decoding kept the last "c" and printed the constant 4.
+    path = tmp_path / "repeated.json"
+    path.write_text('{"kind": "scalar", "terms": [{"c": "1", "e": [2, 0, 0], "c": "2"}]}', encoding="utf-8")
+    assert main(["apply", "--chain", "div grad", "--field", str(path)]) == 1
+    _assert_one_line_error(capsys)
+
+
+def test_apply_json_integer_past_the_digit_limit_exits_one(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    digits = "9" * (_int_str_limit() + 1)
+    path.write_text('{"kind": "scalar", "terms": [{"c": "1", "e": [%s, 0, 0]}]}' % digits, encoding="utf-8")
+    assert main(["apply", "--chain", "grad", "--field", str(path)]) == 1
+    assert "not valid JSON" in _assert_one_line_error(capsys)
+
+
 @pytest.mark.parametrize(
     "argv", [["apply", "--chain", "grad"], ["order", "--collection", "harmonic"]]
 )

@@ -1,8 +1,9 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nablachain.fields
@@ -19,8 +20,6 @@ from nablachain.fields import (
     curl,
     div,
     dumps_field,
-    field_from_json,
-    field_to_json,
     grad,
     laplacian,
     loads_field,
@@ -313,15 +312,15 @@ def test_repr_is_readable():
 
 def test_scalar_json_round_trip():
     p = Polynomial({(2, 0, 1): Fraction(3, 2), (0, 0, 0): -4})
-    doc = field_to_json(p)
+    doc = json.loads(dumps_field(p))
     assert doc["kind"] == "scalar"
-    assert field_from_json(doc) == p
+    assert loads_field(json.dumps(doc)) == p
     assert loads_field(dumps_field(p)) == p
 
 
 def test_vector_json_round_trip():
     v = VectorField(x1 * x2, Polynomial.zero(), Polynomial.constant(Fraction(-1, 3)))
-    assert field_from_json(field_to_json(v)) == v
+    assert loads_field(json.dumps(json.loads(dumps_field(v)))) == v
     assert loads_field(dumps_field(v)) == v
 
 
@@ -331,13 +330,13 @@ def test_json_round_trip_property(p):
 
 
 def test_zero_fields_serialize_to_empty_terms():
-    assert field_to_json(Polynomial.zero()) == {"kind": "scalar", "terms": []}
-    assert field_to_json(VectorField.zero())["components"] == [[], [], []]
+    assert json.loads(dumps_field(Polynomial.zero())) == {"kind": "scalar", "terms": []}
+    assert json.loads(dumps_field(VectorField.zero()))["components"] == [[], [], []]
 
 
 def test_missing_terms_mean_zero():
-    assert field_from_json({"kind": "scalar"}).is_zero
-    assert field_from_json({"kind": "vector"}).is_zero
+    assert loads_field(json.dumps({"kind": "scalar"})).is_zero
+    assert loads_field(json.dumps({"kind": "vector"})).is_zero
 
 
 def test_duplicate_exponent_triples_are_rejected():
@@ -346,7 +345,7 @@ def test_duplicate_exponent_triples_are_rejected():
         "terms": [{"c": "1", "e": [1, 0, 0]}, {"c": "2", "e": [1, 0, 0]}],
     }
     with pytest.raises(FieldFormatError):
-        field_from_json(doc)
+        loads_field(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
@@ -374,13 +373,13 @@ def test_duplicate_exponent_triples_are_rejected():
 )
 def test_malformed_documents_are_rejected(doc):
     with pytest.raises(FieldFormatError):
-        field_from_json(doc)
+        loads_field(json.dumps(doc))
 
 
 def test_reducible_ratio_decodes_to_an_integer():
-    p = field_from_json({"kind": "scalar", "terms": [{"c": "4/2", "e": [1, 0, 0]}]})
+    p = loads_field(json.dumps({"kind": "scalar", "terms": [{"c": "4/2", "e": [1, 0, 0]}]}))
     assert p == Polynomial.monomial((1, 0, 0), 2)
-    assert field_to_json(p)["terms"] == [{"c": "2", "e": [1, 0, 0]}]
+    assert json.loads(dumps_field(p))["terms"] == [{"c": "2", "e": [1, 0, 0]}]
 
 
 def test_loads_field_rejects_bad_json():
@@ -469,3 +468,111 @@ def test_unknown_keys_are_rejected(text):
 def test_deeply_nested_json_is_a_format_error():
     with pytest.raises(FieldFormatError, match="nested too deeply"):
         loads_field("[" * 100000)
+
+
+# -- a repeated key is rejected at any level ---------------------------------
+
+
+REPEATED_C = '{"kind": "scalar", "terms": [{"c": "1", "e": [2, 0, 0], "c": "2"}]}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        REPEATED_C,
+        '{"kind": "scalar", "kind": "vector"}',
+        '{"kind": "scalar", "terms": [], "terms": [{"c": "1", "e": [0, 0, 0]}]}',
+        '{"kind": "vector", "components": [[{"e": [0, 0, 0], "e": [1, 0, 0]}], [], []]}',
+    ],
+    ids=["term-c", "kind", "terms", "vector-term-e"],
+)
+def test_repeated_keys_are_rejected(text):
+    with pytest.raises(FieldFormatError):
+        loads_field(text)
+
+
+def test_json_integer_past_the_digit_limit_is_a_format_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter does not limit int-from-str conversion")
+    digits = "9" * max(5000, limit + 1)
+    with pytest.raises(FieldFormatError):
+        loads_field('{"kind": "scalar", "terms": [{"c": "1", "e": [%s, 0, 0]}]}' % digits)
+
+
+def test_keys_decode_in_any_order():
+    text = '{"terms": [{"e": [2, 0, 0], "c": "3"}, {"c": "-1", "e": [0, 1, 0]}], "kind": "scalar"}'
+    assert loads_field(text) == Polynomial({(2, 0, 0): 3, (0, 1, 0): -1})
+
+
+# -- the decoder is total ----------------------------------------------------
+
+# Arbitrary JSON values, with every slot of the field format either well
+# formed or anything at all, so that both outcomes are reached.
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["scalar", "vector", "1", "-2/3"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "terms", "components", "c", "e"]) | st.text(max_size=3),
+                      inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mostly(well_formed):
+    return st.sampled_from([True, True, True, False]).flatmap(lambda ok: well_formed if ok else _ANY_JSON)
+
+
+_TERMS_JSON = _mostly(st.lists(
+    _mostly(st.fixed_dictionaries({
+        "c": _mostly(st.integers().map(str) | st.tuples(st.integers(), st.integers()).map("{0[0]}/{0[1]}".format)),
+        "e": _mostly(st.lists(st.integers(0, 4), min_size=3, max_size=3)),
+    })),
+    max_size=4,
+))
+_FIELD_JSON = _mostly(
+    st.fixed_dictionaries({"kind": st.just("scalar")}, optional={"terms": _TERMS_JSON})
+    | st.fixed_dictionaries(
+        {"kind": st.just("vector")}, optional={"components": _mostly(st.lists(_TERMS_JSON, min_size=3, max_size=3))}
+    )
+    | st.fixed_dictionaries({"kind": _ANY_JSON}, optional={"terms": _ANY_JSON, "components": _ANY_JSON})
+)
+# Short texts over the format's JSON tokens, alone or spliced into a
+# canonical document; only text can repeat a key.
+_JSON_TOKENS = st.lists(
+    st.sampled_from(
+        ["{", "}", "[", "]", ",", ":", " ", '"kind"', '"scalar"', '"vector"', '"terms"', '"components"',
+         '"c"', '"e"', '"1"', '"1/2"', "0", "2", "-1", "1e400", "true", "null", '"c": "2", ', '"kind": "vector", ']
+    ),
+    max_size=12,
+).map("".join)
+
+
+@st.composite
+def _spliced_documents(draw):
+    text = dumps_field(draw(polynomials(max_terms=2) | vector_fields()))
+    start = draw(st.integers(0, len(text)))
+    end = draw(st.integers(start, min(len(text), start + 6)))
+    return text[:start] + draw(_JSON_TOKENS) + text[end:]
+
+
+def _assert_accepted_exactly_or_rejected(text):
+    try:
+        f = loads_field(text)
+    except FieldFormatError:
+        return
+    canonical = dumps_field(f)
+    assert loads_field(canonical) == f
+    assert dumps_field(loads_field(canonical)) == canonical
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FIELD_JSON.map(json.dumps))
+def test_decoder_is_total_on_json_values(text):
+    _assert_accepted_exactly_or_rejected(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_TOKENS | _spliced_documents())
+def test_decoder_is_total_on_json_texts(text):
+    _assert_accepted_exactly_or_rejected(text)

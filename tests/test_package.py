@@ -11,6 +11,8 @@ REMOVED = {
     "is_zero": "fields",
     "eval_at": "fields",
     "apply_operator": "fields",
+    "field_to_json": "fields",
+    "field_from_json": "fields",
     "annihilates": "collections",
     "signature": "operators",
     "compose_pair": "operators",
