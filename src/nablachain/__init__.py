@@ -24,18 +24,13 @@ from .collections import (
     ExceedsBound,
     Order,
     OrderResult,
-    check_coordinate_multiple,
-    check_squared_coordinate_multiple,
-    check_vector_harmonic_swap,
     collection_order,
-    third_order_annihilation_report,
 )
 from .errors import (
     DepthUnsupportedError,
     FieldFormatError,
     MeaninglessChainError,
     NablachainError,
-    NotInCollectionError,
     NumericalFailureError,
     SortMismatchError,
     TermLimitError,
@@ -90,7 +85,6 @@ __all__ = [
     "MeaninglessChainError",
     "NablachainError",
     "Nontrivial",
-    "NotInCollectionError",
     "NumericalFailureError",
     "Operator",
     "Order",
@@ -106,9 +100,6 @@ __all__ = [
     "census",
     "chain",
     "chain_signature",
-    "check_coordinate_multiple",
-    "check_squared_coordinate_multiple",
-    "check_vector_harmonic_swap",
     "classify",
     "collection_order",
     "compose_signatures",
@@ -125,6 +116,5 @@ __all__ = [
     "parse",
     "run_suite",
     "sort_of",
-    "third_order_annihilation_report",
     "vector_laplacian",
 ]

@@ -88,35 +88,39 @@ def _m(e1: int, e2: int, e3: int, c: int = 1) -> Polynomial:
 
 
 # Harmonic polynomials through total degree 3: 1 constant, 3 linear,
-# 5 quadratic, 7 cubic.  Integer combinations stay harmonic.
-HARMONIC_BASIS: tuple[Polynomial, ...] = (
-    _m(0, 0, 0),
-    _m(1, 0, 0),
-    _m(0, 1, 0),
-    _m(0, 0, 1),
-    _m(1, 1, 0),
-    _m(1, 0, 1),
-    _m(0, 1, 1),
-    _m(2, 0, 0) - _m(0, 2, 0),
-    _m(0, 2, 0) - _m(0, 0, 2),
-    _m(1, 1, 1),
-    _m(1, 2, 0) - _m(1, 0, 2),
-    _m(2, 1, 0) - _m(0, 1, 2),
-    _m(2, 0, 1) - _m(0, 2, 1),
-    _m(3, 0, 0) - _m(1, 2, 0, 3),
-    _m(0, 3, 0) - _m(0, 1, 2, 3),
-    _m(0, 0, 3) - _m(2, 0, 1, 3),
+# 5 quadratic, 7 cubic, as integer term maps.  Integer combinations stay
+# harmonic, and a draw sums them into one map before building anything.
+_HARMONIC_TERMS: tuple[dict[tuple[int, int, int], int], ...] = (
+    {(0, 0, 0): 1},
+    {(1, 0, 0): 1},
+    {(0, 1, 0): 1},
+    {(0, 0, 1): 1},
+    {(1, 1, 0): 1},
+    {(1, 0, 1): 1},
+    {(0, 1, 1): 1},
+    {(2, 0, 0): 1, (0, 2, 0): -1},
+    {(0, 2, 0): 1, (0, 0, 2): -1},
+    {(1, 1, 1): 1},
+    {(1, 2, 0): 1, (1, 0, 2): -1},
+    {(2, 1, 0): 1, (0, 1, 2): -1},
+    {(2, 0, 1): 1, (0, 2, 1): -1},
+    {(3, 0, 0): 1, (1, 2, 0): -3},
+    {(0, 3, 0): 1, (0, 1, 2): -3},
+    {(0, 0, 3): 1, (2, 0, 1): -3},
 )
+HARMONIC_BASIS: tuple[Polynomial, ...] = tuple(Polynomial(t) for t in _HARMONIC_TERMS)
 
 
 def random_harmonic_polynomial(rng: random.Random) -> Polynomial:
     """A nonzero integer combination of the harmonic basis."""
     while True:
-        p = Polynomial.zero()
-        for b in HARMONIC_BASIS:
+        terms: dict[tuple[int, int, int], int] = {}
+        for basis_terms in _HARMONIC_TERMS:
             c = rng.randint(COEFF_LO, COEFF_HI)
             if c:
-                p = p + c * b
+                for e, k in basis_terms.items():
+                    terms[e] = terms.get(e, 0) + c * k
+        p = Polynomial(terms)
         if not p.is_zero:
             return p
 

@@ -21,10 +21,6 @@ class SortMismatchError(NablachainError):
         super().__init__(msg)
 
 
-class NotInCollectionError(NablachainError):
-    """A field does not satisfy the membership precondition of a check."""
-
-
 class TermLimitError(NablachainError):
     """A polynomial operation would exceed the configured term budget."""
 

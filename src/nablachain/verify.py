@@ -4,12 +4,15 @@ Four suites, each a list of named checks over seeded pseudorandom
 corpora: ``identities`` (annihilations, the curl-of-curl decomposition,
 linearity, degree bookkeeping, classifier-versus-evaluation agreement),
 ``associativity`` (all grouping cases of three-step composition),
-``examples`` (the inductive laplacian identities and collection-order
-facts), and ``oracle`` (exact engine against the finite-difference
-route).  Both groupings in ``associativity`` run the same operators, so
-it checks only how ``apply_chain`` handles grouping and sorts, never the
-operators; an operator slip is caught by the other three suites
-(``tests/test_mutants.py``).
+``examples`` (the paper's identities between collections: the
+coordinate and squared-coordinate multiplication identities, read from
+one laplacian ladder per field, curl curl against grad div on vector
+harmonics, the third-order products on harmonic inputs, and
+collection-order facts), and ``oracle`` (exact engine against the
+finite-difference route).  Both groupings in ``associativity`` run the
+same operators, so it checks only how ``apply_chain`` handles grouping
+and sorts, never the operators; an operator slip is caught by the other
+three suites (``tests/test_mutants.py``).
 
 Every check runs through one runner,
 ``_sweep(name, seed, reps, draw, violation)``, the only code here that
@@ -23,15 +26,16 @@ fixed list of cases go through ``_each``, whose draw is ``cases[i]``
 and consumes nothing.  A ``NablachainError`` raised while drawing or
 judging an input fails the check, with the error's type and message as
 the detail, so a broken engine is reported as a violation rather than
-aborting the suite.  Draw order is part of the report format, as it is
-for the corpus itself: because no ``violation`` draws, building a
-trial's inputs before judging any of them yields the same stream as
-interleaving draws with tests.  Results come back sorted by check name.
-The sampling-agreement corpus in the oracle suite pins its fields to
-total degree three regardless of the degree argument, and judges them
-through ``cross_check`` against an absolute floor of 1e-7: on cubics the
-difference quotient's error stays below about 3e-8, while higher degrees
-would swamp any fixed floor.
+aborting the suite; an unmet precondition (an input that is not
+harmonic) is a violation in its own right.  Draw order is part of the
+report format, as it is for the corpus itself: because no ``violation``
+draws, building a trial's inputs before judging any of them yields the
+same stream as interleaving draws with tests.  Results come back sorted
+by check name.  The sampling-agreement corpus in the oracle suite pins
+its fields to total degree three regardless of the degree argument, and
+judges them through ``cross_check`` against an absolute floor of 1e-7:
+on cubics the difference quotient's error stays below about 3e-8, while
+higher degrees would swamp any fixed floor.
 """
 
 from __future__ import annotations
@@ -50,15 +54,7 @@ from .classify import (
     meaningful_chains,
     nontrivial_chain,
 )
-from .collections import (
-    CollectionKind,
-    Order,
-    check_vector_harmonic_swap,
-    check_coordinate_multiple,
-    check_squared_coordinate_multiple,
-    collection_order,
-    third_order_annihilation_report,
-)
+from .collections import CollectionKind, Order, collection_order
 from .corpus import (
     random_harmonic_polynomial,
     random_point,
@@ -137,6 +133,8 @@ def _draw_points(rng: random.Random) -> list[tuple[float, float, float]]:
 # The rotation field (-x2, x1, 0): curl is a nonzero constant, so its
 # curling order is exactly 2.
 _ROTATION = VectorField(-Polynomial.variable(2), Polynomial.variable(1), Polynomial.zero())
+_CURL_CURL = chain(Operator.CURL, Operator.CURL)
+_GRAD_DIV = chain(Operator.GRAD, Operator.DIV)
 
 
 # -- identities --------------------------------------------------------------
@@ -198,35 +196,29 @@ def _check_classifier_agreement(seed: int) -> CheckResult:
 
 
 def run_identities(trials: int, seed: int, degree: int) -> list[CheckResult]:
-    def scalar(rng, i):
-        return random_polynomial(rng, degree)
-
-    def vector(rng, i):
-        return random_vector_field(rng, degree)
+    def draw(sort):
+        return lambda rng, i: _draw_field(rng, sort, degree)
 
     curl_grad = chain(Operator.CURL, Operator.GRAD)
     div_curl = chain(Operator.DIV, Operator.CURL)
-    curl_curl = chain(Operator.CURL, Operator.CURL)
-    grad_div = chain(Operator.GRAD, Operator.DIV)
 
     def decomposition(v):
-        rhs = apply_chain(grad_div, v) - fields.vector_laplacian(v)
-        return None if apply_chain(curl_curl, v) == rhs else f"v = {v!r}"
+        rhs = apply_chain(_GRAD_DIV, v) - fields.vector_laplacian(v)
+        return None if apply_chain(_CURL_CURL, v) == rhs else f"v = {v!r}"
 
     results = [
-        _sweep("annihilation curl after grad", seed, trials, scalar,
+        _sweep("annihilation curl after grad", seed, trials, draw(Sort.SCALAR),
                lambda f: None if apply_chain(curl_grad, f).is_zero else f"f = {f!r}"),
-        _sweep("annihilation div after curl", seed, trials, vector,
+        _sweep("annihilation div after curl", seed, trials, draw(Sort.VECTOR),
                lambda v: None if apply_chain(div_curl, v).is_zero else f"v = {v!r}"),
-        _sweep("curl of curl decomposition", seed, trials, vector, decomposition),
+        _sweep("curl of curl decomposition", seed, trials, draw(Sort.VECTOR), decomposition),
         _check_linearity(trials, seed, degree),
         _check_classifier_agreement(seed),
     ]
     for c in meaningful_chains(3):
         if isinstance(classify(c), TrivialZero):
             results.append(_sweep(
-                f"third-order zero: {format_chain(c)}", seed, trials,
-                lambda rng, i: _draw_field(rng, c.innermost.domain, degree),
+                f"third-order zero: {format_chain(c)}", seed, trials, draw(c.innermost.domain),
                 lambda field: None if apply_chain(c, field).is_zero else f"input = {field!r}",
             ))
     results += [_check_degree_step(op, trials, seed, degree) for op in Operator]
@@ -285,24 +277,85 @@ def run_associativity(trials: int, seed: int, degree: int) -> list[CheckResult]:
 # -- examples ----------------------------------------------------------------
 
 
+# The eight meaningful third-order words, the three nontrivial ones
+# first (sorted() is stable, so each group keeps enumeration order).
+# The first that does not vanish is the counterexample printed, and
+# nontrivial-first is the order that detail is pinned to: plain
+# enumeration order would name another chain under a broken curl
+# ("curl curl grad" instead of "curl curl curl").
+_ORDER3_CHAINS = tuple(
+    sorted(meaningful_chains(3), key=lambda c: isinstance(classify(c), TrivialZero))
+)
+
+
 def _harmonic_products_violation(case: tuple[Polynomial, VectorField]) -> Optional[str]:
+    """Every third-order chain kills a harmonic f or a vector harmonic v."""
     f, v = case
-    bad = [text for text, vanished in third_order_annihilation_report(f, v).items() if not vanished]
-    return f"chain {bad[0]}, f = {f!r}, v = {v!r}" if bad else None
+    if not fields.laplacian(f).is_zero:
+        return "scalar field is not harmonic"
+    if not fields.vector_laplacian(v).is_zero:
+        return "vector field is not vector harmonic"
+    for c in _ORDER3_CHAINS:
+        if not apply_chain(c, f if c.innermost.domain is Sort.SCALAR else v).is_zero:
+            return f"chain {format_chain(c)}, f = {f!r}, v = {v!r}"
+    return None
+
+
+def _laplacian_ladder(f: Polynomial) -> list[Polynomial]:
+    """[f, lap f, ..., lap^4 f]: the iterates both multiplication identities read."""
+    ladder = [f]
+    for _ in range(4):
+        ladder.append(fields.laplacian(ladder[-1]))
+    return ladder
+
+
+def _coordinate_multiple_rhs(lap_f: list[Polynomial], x: Polynomial, axis: int, n: int) -> Polynomial:
+    """The right side of lap^n(x f) == 2n d(lap^(n-1) f)/dx + x lap^n f, x the axis coordinate."""
+    return 2 * n * lap_f[n - 1].partial(axis) + x * lap_f[n]
+
+
+def _squared_coordinate_multiple_rhs(lap_f: list[Polynomial], x: Polynomial, axis: int, n: int) -> Polynomial:
+    """The right side of the squared-coordinate identity:
+
+        lap^n(x^2 f) == 4n(n-1) d2(lap^(n-2) f)/dx2 + 4n x d(lap^(n-1) f)/dx
+                        + 2n lap^(n-1) f + x^2 lap^n f
+
+    At n == 1 the first term's factor is zero, so the iterate it names
+    (taken as f itself) never counts.
+    """
+    return (
+        4 * n * (n - 1) * lap_f[max(n - 2, 0)].partial(axis).partial(axis)
+        + 4 * n * (x * lap_f[n - 1].partial(axis))
+        + 2 * n * lap_f[n - 1]
+        + x * x * lap_f[n]
+    )
 
 
 def _check_multiplication_identity(
-    name: str, identity: Callable[[Polynomial, int, int], bool], trials: int, seed: int, degree: int
+    name: str, power: int, rhs: Callable[[list[Polynomial], Polynomial, int, int], Polynomial],
+    trials: int, seed: int, degree: int,
 ) -> CheckResult:
+    """lap^n(x^power f) against rhs at n = 1..4, read from one ladder each of f and x^power f."""
+
     def violation(case):
         f, axis = case
+        x = Polynomial.variable(axis)
+        lap_f = _laplacian_ladder(f)
+        lap_mf = _laplacian_ladder(x**power * f)
         for n in (1, 2, 3, 4):
-            if not identity(f, n, axis):
+            if lap_mf[n] != rhs(lap_f, x, axis, n):
                 return f"f = {f!r}, n = {n}, axis = {axis}"
         return None
 
     return _sweep(name, seed, trials,
                   lambda rng, i: (random_polynomial(rng, degree), 1 + i % 3), violation)
+
+
+def _vector_harmonic_swap_violation(v: VectorField) -> Optional[str]:
+    """curl curl == grad div on fields with vanishing vector laplacian."""
+    if not fields.vector_laplacian(v).is_zero:
+        return "field is not vector harmonic (componentwise laplacians do not vanish)"
+    return None if apply_chain(_CURL_CURL, v) == apply_chain(_GRAD_DIV, v) else f"v = {v!r}"
 
 
 def _check_order_witnesses() -> CheckResult:
@@ -383,13 +436,12 @@ def run_examples(trials: int, seed: int, degree: int) -> list[CheckResult]:
         _sweep("third-order products vanish on harmonic inputs", seed, trials,
                lambda rng, i: (random_harmonic_polynomial(rng), random_vector_harmonic_field(rng)),
                _harmonic_products_violation),
-        _check_multiplication_identity("laplacian power of coordinate multiple",
-                                       check_coordinate_multiple, trials, seed, degree),
-        _check_multiplication_identity("laplacian power of squared-coordinate multiple",
-                                       check_squared_coordinate_multiple, trials, seed, degree),
+        _check_multiplication_identity("laplacian power of coordinate multiple", 1,
+                                       _coordinate_multiple_rhs, trials, seed, degree),
+        _check_multiplication_identity("laplacian power of squared-coordinate multiple", 2,
+                                       _squared_coordinate_multiple_rhs, trials, seed, degree),
         _sweep("curl of curl equals grad of div on vector harmonics", seed, trials,
-               lambda rng, i: random_vector_harmonic_field(rng),
-               lambda v: None if check_vector_harmonic_swap(v) else f"v = {v!r}"),
+               lambda rng, i: random_vector_harmonic_field(rng), _vector_harmonic_swap_violation),
         _check_order_witnesses(),
         _check_multiplier_keeps_membership(
             Polynomial.variable(1), "coordinate", trials, seed

@@ -2,24 +2,23 @@ import random
 
 import pytest
 
+from nablachain import verify
+from nablachain.classify import meaningful_chains
 from nablachain.collections import (
     CollectionKind,
     ExceedsBound,
     Order,
-    check_coordinate_multiple,
-    check_squared_coordinate_multiple,
-    check_vector_harmonic_swap,
     collection_order,
-    third_order_annihilation_report,
 )
 from nablachain.corpus import (
     random_harmonic_polynomial,
     random_polyharmonic_of_order,
     random_polynomial,
 )
-from nablachain.errors import NotInCollectionError, SortMismatchError
-from nablachain.fields import Polynomial, VectorField, apply_chain, laplacian
-from nablachain.operators import Chain, Operator
+from nablachain.errors import SortMismatchError
+from nablachain.fields import Polynomial, VectorField, apply_chain, laplacian, vector_laplacian
+from nablachain.operators import Chain, Operator, Sort
+from nablachain.parser import format_chain
 
 G, C, D = Operator.GRAD, Operator.CURL, Operator.DIV
 
@@ -82,17 +81,61 @@ def test_zero_field_has_order_one():
     assert collection_order(CollectionKind.HARMONIC, Polynomial.zero(), 3) == Order(1)
 
 
-# -- the coordinate-multiplication identity ----------------------------------
+# -- the identities that move a field between orders ------------------------
+#
+# Each is stated here from laplacian, partial and apply_chain alone; the
+# examples suite of verify checks the same identities from ladders built
+# once per field.
+
+
+def lap_power(f, n):
+    for _ in range(n):
+        f = laplacian(f)
+    return f
+
+
+def coordinate_multiple_holds(f, n, axis=1):
+    """lap^n(x f) == 2n d(lap^(n-1) f)/dx + x lap^n f."""
+    x = Polynomial.variable(axis)
+    return lap_power(x * f, n) == 2 * n * lap_power(f, n - 1).partial(axis) + x * lap_power(f, n)
+
+
+def squared_coordinate_multiple_holds(f, n, axis=1):
+    """lap^n(x^2 f) == 4n(n-1) d2(lap^(n-2) f)/dx2 + 4n x d(lap^(n-1) f)/dx
+    + 2n lap^(n-1) f + x^2 lap^n f, the first term vanishing at n == 1."""
+    x = Polynomial.variable(axis)
+    rhs = (
+        4 * n * (n - 1) * lap_power(f, max(n - 2, 0)).partial(axis).partial(axis)
+        + 4 * n * x * lap_power(f, n - 1).partial(axis)
+        + 2 * n * lap_power(f, n - 1)
+        + x * x * lap_power(f, n)
+    )
+    return lap_power(x * x * f, n) == rhs
+
+
+def swap_holds(v):
+    """curl curl == grad div on a vector harmonic field."""
+    assert vector_laplacian(v).is_zero
+    return apply_chain(Chain((C, C)), v) == apply_chain(Chain((G, D)), v)
+
+
+def third_order_report(f, v):
+    """Chain text mapped to whether it kills f (scalar input) or v (vector input)."""
+    assert laplacian(f).is_zero and vector_laplacian(v).is_zero
+    return {
+        format_chain(c): apply_chain(c, f if c.innermost.domain is Sort.SCALAR else v).is_zero
+        for c in meaningful_chains(3)
+    }
 
 
 def test_coordinate_multiple_base_case():
     # lap(x1 * x1) = 2 against 2 * d(x1)/dx1 + x1 * lap(x1) = 2.
-    assert check_coordinate_multiple(x1, 1)
+    assert coordinate_multiple_holds(x1, 1)
 
 
 def test_coordinate_multiple_zero_field():
     for n in (1, 2, 5):
-        assert check_coordinate_multiple(Polynomial.zero(), n)
+        assert coordinate_multiple_holds(Polynomial.zero(), n)
 
 
 def test_coordinate_multiple_random_fields():
@@ -100,39 +143,31 @@ def test_coordinate_multiple_random_fields():
     for _ in range(10):
         f = random_polynomial(rng, 4)
         for n in (2, 3, 4):
-            assert check_coordinate_multiple(f, n)
+            assert coordinate_multiple_holds(f, n)
 
 
 def test_coordinate_multiple_other_axes():
     rng = random.Random(8)
     f = random_polynomial(rng, 4)
     for axis in (1, 2, 3):
-        assert check_coordinate_multiple(f, 2, axis)
-
-
-def test_coordinate_multiple_rejects_bad_order():
-    with pytest.raises(ValueError):
-        check_coordinate_multiple(x1, 0)
-
-
-# -- the squared-coordinate identity -----------------------------------------
+        assert coordinate_multiple_holds(f, 2, axis)
 
 
 def test_squared_coordinate_constant_field():
-    assert check_squared_coordinate_multiple(Polynomial.constant(1), 2)
+    assert squared_coordinate_multiple_holds(Polynomial.constant(1), 2)
 
 
 def test_squared_coordinate_worked_value():
     # Both sides equal 24 for f = x1^2 at the second iterate.
     f = x1 * x1
     assert laplacian(laplacian(x1 * x1 * f)) == Polynomial.constant(24)
-    assert check_squared_coordinate_multiple(f, 2)
+    assert squared_coordinate_multiple_holds(f, 2)
 
 
 def test_squared_coordinate_base_form():
     rng = random.Random(9)
     for _ in range(10):
-        assert check_squared_coordinate_multiple(random_polynomial(rng, 4), 1)
+        assert squared_coordinate_multiple_holds(random_polynomial(rng, 4), 1)
 
 
 def test_squared_coordinate_random_fields():
@@ -140,48 +175,39 @@ def test_squared_coordinate_random_fields():
     for _ in range(10):
         f = random_polynomial(rng, 4)
         for n in (2, 3, 4):
-            assert check_squared_coordinate_multiple(f, n)
+            assert squared_coordinate_multiple_holds(f, n)
 
 
 def test_squared_coordinate_other_axes():
     rng = random.Random(11)
     f = random_polynomial(rng, 3)
     for axis in (2, 3):
-        assert check_squared_coordinate_multiple(f, 3, axis)
-
-
-def test_squared_coordinate_rejects_bad_order():
-    with pytest.raises(ValueError):
-        check_squared_coordinate_multiple(x1, 0)
-
-
-# -- the curl-curl swap on vector harmonic fields ----------------------------
+        assert squared_coordinate_multiple_holds(f, 3, axis)
 
 
 def test_swap_on_rotated_coordinates():
-    assert check_vector_harmonic_swap(VectorField(x2, x3, x1))
+    assert swap_holds(VectorField(x2, x3, x1))
 
 
 def test_swap_on_quadratic_harmonics():
-    assert check_vector_harmonic_swap(VectorField(x1 * x2, x2 * x3, x3 * x1))
+    assert swap_holds(VectorField(x1 * x2, x2 * x3, x3 * x1))
 
 
 def test_swap_requires_vector_harmonic_input():
-    with pytest.raises(NotInCollectionError):
-        check_vector_harmonic_swap(VectorField(x1 * x1, Polynomial.zero(), Polynomial.zero()))
-
-
-# -- the third-order annihilation report -------------------------------------
+    v = VectorField(x1 * x1, Polynomial.zero(), Polynomial.zero())
+    assert verify._vector_harmonic_swap_violation(v) == (
+        "field is not vector harmonic (componentwise laplacians do not vanish)"
+    )
 
 
 def test_report_vanishes_on_harmonic_inputs():
-    report = third_order_annihilation_report(
-        x1 * x1 - x2 * x2, VectorField(x2, x3, x1)
-    )
+    f, v = x1 * x1 - x2 * x2, VectorField(x2, x3, x1)
+    report = third_order_report(f, v)
     assert len(report) == 8
     assert all(report.values())
     assert "grad div grad" in report
     assert "curl curl curl" in report
+    assert verify._harmonic_products_violation((f, v)) is None
 
 
 def test_report_on_random_harmonic_inputs():
@@ -193,17 +219,17 @@ def test_report_on_random_harmonic_inputs():
             random_harmonic_polynomial(rng),
             random_harmonic_polynomial(rng),
         )
-        assert all(third_order_annihilation_report(f, v).values())
+        assert all(third_order_report(f, v).values())
 
 
 def test_report_rejects_non_harmonic_scalar():
-    with pytest.raises(NotInCollectionError):
-        third_order_annihilation_report(x1 * x1, VectorField(x2, x3, x1))
+    violation = verify._harmonic_products_violation((x1 * x1, VectorField(x2, x3, x1)))
+    assert violation == "scalar field is not harmonic"
 
 
 def test_report_rejects_non_harmonic_vector():
-    with pytest.raises(NotInCollectionError):
-        third_order_annihilation_report(x1, VectorField(r2, x1, x2))
+    violation = verify._harmonic_products_violation((x1, VectorField(r2, x1, x2)))
+    assert violation == "vector field is not vector harmonic"
 
 
 # -- ladder facts over generated fields --------------------------------------

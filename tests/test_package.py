@@ -5,7 +5,8 @@ import pytest
 
 import nablachain
 
-# Each restated another public spelling or route; the one that stays is named in README.
+# Each restated another public spelling or route, whose survivor README names,
+# or graded one identity that a verify check of the examples suite now states.
 REMOVED = {
     "ScalarField": "fields",
     "is_zero": "fields",
@@ -21,6 +22,11 @@ REMOVED = {
     "fd_apply": "fdcheck",
     "fd_first_order": "fdcheck",
     "fd_partial": "fdcheck",
+    "check_coordinate_multiple": "collections",
+    "check_squared_coordinate_multiple": "collections",
+    "check_vector_harmonic_swap": "collections",
+    "third_order_annihilation_report": "collections",
+    "NotInCollectionError": "errors",
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from nablachain import fields, verify
 from nablachain.cli import main
+from nablachain.errors import TermLimitError
 
 
 def test_unknown_suite_is_rejected():
@@ -97,10 +98,21 @@ def _laplacian_n_squared(f):
 
 
 def test_domain_error_inside_a_check_is_reported_as_its_failure(capsys, monkeypatch):
-    # The broken laplacian makes the harmonic precondition itself raise;
-    # that must fail the check (exit 3), not abort the run as bad input.
+    # A domain error raised while judging an input must fail that check
+    # (exit 3), not abort the run as bad input.
+    def over_budget(f):
+        raise TermLimitError("laplacian over budget")
+
+    monkeypatch.setattr(fields, "laplacian", over_budget)
+    assert main(["verify", "--suite", "examples", "--trials", "5"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert ("FAIL third-order products vanish on harmonic inputs: "
+            "TermLimitError: laplacian over budget") in out
+
+
+def test_broken_laplacian_fails_the_harmonic_precondition(capsys, monkeypatch):
     monkeypatch.setattr(fields, "laplacian", _laplacian_n_squared)
     assert main(["verify", "--suite", "examples", "--trials", "5"]) == 3
-    out = capsys.readouterr().out
-    assert ("FAIL third-order products vanish on harmonic inputs: "
-            "NotInCollectionError: scalar field is not harmonic") in out.splitlines()
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL third-order products vanish on harmonic inputs: scalar field is not harmonic" in out
+    assert out[-1] == "1/8 checks passed"
