@@ -356,8 +356,15 @@ def sort_of(field: FieldValue) -> Sort:
     raise TypeError(f"not a field value: {field!r}")
 
 
+def _check_sort(field: FieldValue, expected: type, operator: str) -> None:
+    """Every operator's guard: unless field is exactly an expected instance, raise SortMismatchError."""
+    if type(field) is not expected:
+        raise SortMismatchError(sort_of(expected.zero()), sort_of(field), context=operator)
+
+
 def grad(f: Polynomial) -> VectorField:
     """Gradient: the vector of the three partial derivatives."""
+    _check_sort(f, Polynomial, "grad")
     return VectorField(f.partial(1), f.partial(2), f.partial(3))
 
 
@@ -367,6 +374,7 @@ def curl(v: VectorField) -> VectorField:
     Each output component is accumulated in one map, with no
     intermediate polynomials.
     """
+    _check_sort(v, VectorField, "curl")
     f1, f2, f3 = v.components
     out1: dict[Exponents, Coefficient] = {}
     out2: dict[Exponents, Coefficient] = {}
@@ -382,6 +390,7 @@ def curl(v: VectorField) -> VectorField:
 
 def div(v: VectorField) -> Polynomial:
     """Divergence: the sum of the component partials, in one map."""
+    _check_sort(v, VectorField, "div")
     out: dict[Exponents, Coefficient] = {}
     for i, comp in enumerate(v.components):
         _add_partial(out, comp, i, 1)
@@ -390,6 +399,7 @@ def div(v: VectorField) -> Polynomial:
 
 def laplacian(f: Polynomial) -> Polynomial:
     """div after grad, fused into one pass of second partials."""
+    _check_sort(f, Polynomial, "laplacian")
     out: dict[Exponents, Coefficient] = {}
     get = out.get
     for e, c in f._terms.items():
@@ -405,6 +415,7 @@ def laplacian(f: Polynomial) -> Polynomial:
 
 def vector_laplacian(v: VectorField) -> VectorField:
     """Componentwise laplacian."""
+    _check_sort(v, VectorField, "vector_laplacian")
     return VectorField(laplacian(v.f1), laplacian(v.f2), laplacian(v.f3))
 
 

@@ -1,18 +1,27 @@
 """Corpus-driven verification suites.
 
-Four suites, each a list of named checks over seeded pseudorandom
-corpora: ``identities`` (annihilations, the curl-of-curl decomposition,
-linearity, degree bookkeeping, classifier-versus-evaluation agreement),
-``associativity`` (all grouping cases of three-step composition),
-``examples`` (the paper's identities between collections: the
-coordinate and squared-coordinate multiplication identities, read from
-one laplacian ladder per field, curl curl against grad div on vector
-harmonics, the third-order products on harmonic inputs, and
-collection-order facts), and ``oracle`` (exact engine against the
-finite-difference route).  Both groupings in ``associativity`` run the
-same operators, so it checks only how ``apply_chain`` handles grouping
-and sorts, never the operators; an operator slip is caught by the other
-three suites (``tests/test_mutants.py``).
+Four suites, each a list of named checks: ``identities``
+(annihilations, the curl-of-curl decomposition, linearity, degree
+bookkeeping, classifier-versus-evaluation agreement), ``associativity``
+(all grouping cases of three-step composition), ``examples`` (the
+paper's identities between collections: the coordinate and
+squared-coordinate multiplication identities, read from one laplacian
+ladder per field, curl curl against grad div on vector harmonics, the
+third-order products on harmonic inputs, and collection-order facts),
+and ``oracle`` (exact engine against the finite-difference route).
+Both groupings in ``associativity`` run the same operators, so it sees
+how ``apply_chain`` orders and groups them, never the operators
+themselves; an operator slip is caught by the other three suites
+(``tests/test_mutants.py``).
+
+Claims closed under linear combination are checked on the monomial
+basis (``corpus.monomials``), which proves them for every field of the
+degrees swept, and ignore trials and seed: both annihilations, the
+decomposition, the third-order zeros and the multiplication identities
+over degrees 0..degree, and classifier agreement, which judges a
+length-n chain on the degree-n monomials.  ``chain linearity``, which
+licenses this, and the degree steps ("exactly one lower" is not closed
+under sums) stay sampled.
 
 Every check runs through one runner,
 ``_sweep(name, seed, reps, draw, violation)``, the only code here that
@@ -22,20 +31,16 @@ are reproducible byte for byte.  For each i below reps, ``draw(rng, i)``
 builds the i-th input and is the only code that consumes the
 generator; ``violation(input)`` must not consume it, and returns None
 when the claim holds or the failure detail otherwise.  Checks over a
-fixed list of cases go through ``_each``, whose draw is ``cases[i]``
-and consumes nothing.  A ``NablachainError`` raised while drawing or
-judging an input fails the check, with the error's type and message as
-the detail, so a broken engine is reported as a violation rather than
-aborting the suite; an unmet precondition (an input that is not
-harmonic) is a violation in its own right.  Draw order is part of the
-report format, as it is for the corpus itself: because no ``violation``
-draws, building a trial's inputs before judging any of them yields the
-same stream as interleaving draws with tests.  Results come back sorted
-by check name.  The sampling-agreement corpus in the oracle suite pins
-its fields to total degree three regardless of the degree argument, and
-judges them through ``cross_check`` against an absolute floor of 1e-7:
-on cubics the difference quotient's error stays below about 3e-8, while
-higher degrees would swamp any fixed floor.
+fixed list of cases go through ``_each``, whose draw is ``cases[i]``.
+A ``NablachainError`` raised while drawing or judging an input fails
+the check, with the error's type and message as the detail, so a
+broken engine is a violation rather than an aborted suite; so is an
+unmet precondition (an input that is not harmonic).  Draw order is part
+of the report format, as it is for the corpus itself.  The oracle's
+sampling-agreement fields have total degree three whatever the degree
+argument, and ``cross_check`` judges them against an absolute floor of
+1e-7: on cubics the difference quotient's error stays below about
+3e-8, while higher degrees would swamp any fixed floor.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .classify import (
 )
 from .collections import CollectionKind, Order, collection_order
 from .corpus import (
+    monomials,
     random_harmonic_polynomial,
     random_point,
     random_polyharmonic_of_order,
@@ -63,7 +69,6 @@ from .corpus import (
     random_vector_field,
     random_vector_harmonic_field,
     radius_squared,
-    witness_corpus,
 )
 from .errors import MeaninglessChainError, NablachainError, SortMismatchError
 from .fdcheck import FdConfig, cross_check
@@ -183,12 +188,17 @@ def _check_degree_step(op: Operator, trials: int, seed: int, degree: int) -> Che
                   lambda rng, i: _draw_field(rng, op.domain, degree), violation)
 
 
-def _check_classifier_agreement(seed: int) -> CheckResult:
-    scalars, vectors = witness_corpus(seed)
+def _basis(sort: Sort, degree: int) -> list[FieldValue]:
+    """Every monomial field of the sort with total degree <= degree."""
+    return [m for d in range(degree + 1) for m in monomials(sort, d)]
+
+
+def _check_classifier_agreement() -> CheckResult:
+    """A chain of length n is zero exactly when it kills every degree-n monomial of its input sort."""
+    witnesses = {(sort, n): monomials(sort, n) for sort in Sort for n in range(1, 6)}
 
     def violation(c):
-        witnesses = scalars if c.innermost.domain is Sort.SCALAR else vectors
-        all_zero = all(apply_chain(c, w).is_zero for w in witnesses)
+        all_zero = all(apply_chain(c, m).is_zero for m in witnesses[c.innermost.domain, len(c.ops)])
         return None if isinstance(classify(c), TrivialZero) == all_zero else f"chain {format_chain(c)}"
 
     return _each("classifier evaluation agreement",
@@ -196,29 +206,27 @@ def _check_classifier_agreement(seed: int) -> CheckResult:
 
 
 def run_identities(trials: int, seed: int, degree: int) -> list[CheckResult]:
-    def draw(sort):
-        return lambda rng, i: _draw_field(rng, sort, degree)
-
+    basis = {sort: _basis(sort, degree) for sort in Sort}
     curl_grad = chain(Operator.CURL, Operator.GRAD)
     div_curl = chain(Operator.DIV, Operator.CURL)
 
     def decomposition(v):
-        rhs = apply_chain(_GRAD_DIV, v) - fields.vector_laplacian(v)
-        return None if apply_chain(_CURL_CURL, v) == rhs else f"v = {v!r}"
+        lhs = apply_chain(_CURL_CURL, v) + fields.vector_laplacian(v)
+        return None if lhs == apply_chain(_GRAD_DIV, v) else f"v = {v!r}"
 
     results = [
-        _sweep("annihilation curl after grad", seed, trials, draw(Sort.SCALAR),
-               lambda f: None if apply_chain(curl_grad, f).is_zero else f"f = {f!r}"),
-        _sweep("annihilation div after curl", seed, trials, draw(Sort.VECTOR),
-               lambda v: None if apply_chain(div_curl, v).is_zero else f"v = {v!r}"),
-        _sweep("curl of curl decomposition", seed, trials, draw(Sort.VECTOR), decomposition),
+        _each("annihilation curl after grad", basis[Sort.SCALAR],
+              lambda f: None if apply_chain(curl_grad, f).is_zero else f"f = {f!r}"),
+        _each("annihilation div after curl", basis[Sort.VECTOR],
+              lambda v: None if apply_chain(div_curl, v).is_zero else f"v = {v!r}"),
+        _each("curl of curl decomposition", basis[Sort.VECTOR], decomposition),
         _check_linearity(trials, seed, degree),
-        _check_classifier_agreement(seed),
+        _check_classifier_agreement(),
     ]
     for c in meaningful_chains(3):
         if isinstance(classify(c), TrivialZero):
-            results.append(_sweep(
-                f"third-order zero: {format_chain(c)}", seed, trials, draw(c.innermost.domain),
+            results.append(_each(
+                f"third-order zero: {format_chain(c)}", basis[c.innermost.domain],
                 lambda field: None if apply_chain(c, field).is_zero else f"input = {field!r}",
             ))
     results += [_check_degree_step(op, trials, seed, degree) for op in Operator]
@@ -332,10 +340,9 @@ def _squared_coordinate_multiple_rhs(lap_f: list[Polynomial], x: Polynomial, axi
 
 
 def _check_multiplication_identity(
-    name: str, power: int, rhs: Callable[[list[Polynomial], Polynomial, int, int], Polynomial],
-    trials: int, seed: int, degree: int,
+    name: str, power: int, rhs: Callable[[list[Polynomial], Polynomial, int, int], Polynomial], degree: int,
 ) -> CheckResult:
-    """lap^n(x^power f) against rhs at n = 1..4, read from one ladder each of f and x^power f."""
+    """lap^n(x^power f) against rhs at n = 1..4 on each (monomial f, axis), from one ladder each of f and x^power f."""
 
     def violation(case):
         f, axis = case
@@ -347,8 +354,7 @@ def _check_multiplication_identity(
                 return f"f = {f!r}, n = {n}, axis = {axis}"
         return None
 
-    return _sweep(name, seed, trials,
-                  lambda rng, i: (random_polynomial(rng, degree), 1 + i % 3), violation)
+    return _each(name, [(f, axis) for f in _basis(Sort.SCALAR, degree) for axis in (1, 2, 3)], violation)
 
 
 def _vector_harmonic_swap_violation(v: VectorField) -> Optional[str]:
@@ -437,9 +443,9 @@ def run_examples(trials: int, seed: int, degree: int) -> list[CheckResult]:
                lambda rng, i: (random_harmonic_polynomial(rng), random_vector_harmonic_field(rng)),
                _harmonic_products_violation),
         _check_multiplication_identity("laplacian power of coordinate multiple", 1,
-                                       _coordinate_multiple_rhs, trials, seed, degree),
+                                       _coordinate_multiple_rhs, degree),
         _check_multiplication_identity("laplacian power of squared-coordinate multiple", 2,
-                                       _squared_coordinate_multiple_rhs, trials, seed, degree),
+                                       _squared_coordinate_multiple_rhs, degree),
         _sweep("curl of curl equals grad of div on vector harmonics", seed, trials,
                lambda rng, i: random_vector_harmonic_field(rng), _vector_harmonic_swap_violation),
         _check_order_witnesses(),

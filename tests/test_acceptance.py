@@ -32,7 +32,6 @@ from nablachain.corpus import (
     random_polynomial,
     random_vector_field,
     random_vector_harmonic_field,
-    witness_corpus,
 )
 from nablachain.errors import MeaninglessChainError, SortMismatchError
 from nablachain.fdcheck import FdConfig, cross_check
@@ -137,16 +136,30 @@ def test_criterion_03_three_families_at_every_length(capsys):
 
 
 def test_criterion_04_classifier_matches_evaluation(capsys):
+    # A chain of length n is a constant-coefficient operator of order n:
+    # it is identically zero exactly when it kills every monomial of
+    # total degree n, so these witnesses decide it.
+    def degree_n_monomials(sort, n):
+        zero = Polynomial.zero()
+        fields = []
+        for a in range(n + 1):
+            for b in range(n + 1 - a):
+                m = x1**a * x2**b * x3 ** (n - a - b)
+                if sort is Sort.SCALAR:
+                    fields.append(m)
+                else:
+                    fields += [VectorField(m, zero, zero), VectorField(zero, m, zero), VectorField(zero, zero, m)]
+        return fields
+
     def body():
         start = time.perf_counter()
-        scalars, vectors = witness_corpus()
         seen = 0
         for n in range(1, 6):
             for c in meaningful_chains(n):
                 seen += 1
                 sig = chain_signature(c)
                 assert isinstance(sig, Meaningful)
-                witnesses = scalars if sig.input is Sort.SCALAR else vectors
+                witnesses = degree_n_monomials(sig.input, n)
                 all_zero = all(apply_chain(c, w).is_zero for w in witnesses)
                 outcome = classify(c)
                 if isinstance(outcome, TrivialZero):

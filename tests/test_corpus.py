@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -7,18 +8,17 @@ from nablachain.corpus import (
     COEFF_HI,
     COEFF_LO,
     HARMONIC_BASIS,
+    monomials,
     radius_squared,
-    random_boxed_polynomial,
-    random_boxed_vector_field,
     random_harmonic_polynomial,
     random_point,
     random_polyharmonic_of_order,
     random_polynomial,
     random_vector_field,
     random_vector_harmonic_field,
-    witness_corpus,
 )
 from nablachain.fields import Polynomial, VectorField, laplacian
+from nablachain.operators import Sort
 
 
 def test_same_seed_reproduces_draws():
@@ -42,14 +42,6 @@ def test_random_polynomial_degree_bound():
             assert sum(exps) <= 4
 
 
-def test_random_boxed_polynomial_exponent_bound():
-    rng = random.Random(4)
-    for _ in range(50):
-        p = random_boxed_polynomial(rng)
-        for exps in p.terms:
-            assert all(e <= 3 for e in exps)
-
-
 def test_coefficient_range_is_respected():
     # Duplicate monomials merge, so one coefficient can absorb up to 8 draws.
     rng = random.Random(5)
@@ -62,10 +54,7 @@ def test_vector_draws_are_componentwise():
     rng = random.Random(6)
     v = random_vector_field(rng, 4)
     assert isinstance(v, VectorField)
-    w = random_boxed_vector_field(rng)
-    for comp in w.components:
-        for exps in comp.terms:
-            assert all(e <= 3 for e in exps)
+    assert all(comp.degree() <= 4 for comp in v.components)
 
 
 def test_harmonic_basis_properties():
@@ -111,42 +100,23 @@ def test_polyharmonic_rejects_bad_order():
         random_polyharmonic_of_order(random.Random(0), 0)
 
 
-def test_witness_corpus_shape():
-    scalars, vectors = witness_corpus()
-    assert len(scalars) == 21
-    assert len(vectors) == 21
-    assert all(isinstance(f, Polynomial) for f in scalars)
-    assert all(isinstance(v, VectorField) for v in vectors)
-
-
-def test_witness_corpus_fixed_leads():
-    scalars, vectors = witness_corpus()
-    x1 = Polynomial.variable(1)
-    x2 = Polynomial.variable(2)
-    x3 = Polynomial.variable(3)
-    assert scalars[0] == x1 * x1 * x2 + x3
-    assert vectors[0] == VectorField(x2 * x3, x1 * x1, x1 * x2 * x3)
-
-
-def test_witness_corpus_is_deterministic():
-    assert witness_corpus(seed=42) == witness_corpus(seed=42)
-    assert witness_corpus(seed=42) != witness_corpus(seed=43)
-
-
-def test_witness_corpus_respects_box():
-    scalars, vectors = witness_corpus()
-    for f in scalars:
-        for exps in f.terms:
-            assert all(e <= 3 for e in exps)
-    for v in vectors:
-        for comp in v.components:
-            for exps in comp.terms:
-                assert all(e <= 3 for e in exps)
-
-
 def test_random_point_bounds():
     rng = random.Random(10)
     for _ in range(50):
         p = random_point(rng)
         assert len(p) == 3
         assert all(-1.0 <= c <= 1.0 for c in p)
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_monomials_enumerate_each_degree_once(d):
+    scalars = monomials(Sort.SCALAR, d)
+    assert len(set(scalars)) == len(scalars) == comb(d + 2, 2)
+    for f in scalars:
+        ((e, c),) = f.terms.items()
+        assert sum(e) == d and c == 1
+    vectors = monomials(Sort.VECTOR, d)
+    assert len(set(vectors)) == len(vectors) == 3 * comb(d + 2, 2)
+    for v in vectors:
+        nonzero = [comp for comp in v.components if not comp.is_zero]
+        assert len(nonzero) == 1 and nonzero[0] in scalars

@@ -223,6 +223,16 @@ def test_apply_operator_checks_sort():
         apply_chain(chain(D), x1)
 
 
+@pytest.mark.parametrize(
+    "operator, wrong",
+    [(grad, VectorField.zero()), (curl, x1), (div, x1), (laplacian, VectorField.zero()), (vector_laplacian, x1)],
+    ids=["grad", "curl", "div", "laplacian", "vector_laplacian"],
+)
+def test_operator_rejects_the_other_sort(operator, wrong):
+    with pytest.raises(SortMismatchError, match=f"^{operator.__name__}: expected"):
+        operator(wrong)
+
+
 def test_apply_chain_examples():
     r2 = x1 * x1 + x2 * x2 + x3 * x3
     assert apply_chain(Chain((D, G)), r2) == Polynomial.constant(6)

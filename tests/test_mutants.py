@@ -6,12 +6,16 @@ that stops catching a mutant, or starts to, shows up cell by cell.
 Every mutant is installed with one patch at the single binding it
 changes, which is enough to reach every caller in the package:
 ``fields._OPERATORS`` for grad, curl and div, the ``fields.laplacian``
-attribute for the laplacian, ``fdcheck._column`` for the oracle's
-stencil and ``ANNIHILATING_PAIRS`` for the classifier.  The classifier's
-module is reached through ``importlib``, because the package attribute
-``nablachain.classify`` is the re-exported function.  No suite may exit
-with anything but 0 or 3 under a mutant: a broken engine is a
-violation, not bad input.
+attribute for the laplacian, ``fields._add_partial`` and
+``fields._finish`` for the shared partial and result builder,
+``fdcheck._column`` for the oracle's stencil and ``ANNIHILATING_PAIRS``
+for the classifier.  The outermost-first slip in ``apply_chain`` is a
+module global ``reversed`` in ``fields`` that shadows the builtin; the
+module has no such attribute, so every patch runs with
+``raising=False``.  The classifier's module is reached through
+``importlib``, because the package attribute ``nablachain.classify`` is
+the re-exported function.  No suite may exit with anything but 0 or 3
+under a mutant: a broken engine is a violation, not bad input.
 """
 
 import importlib
@@ -51,6 +55,24 @@ def _column_over_h(f, axis, point, h):
     return tuple([(u - l) / h for u, l in zip(upper, lower)])
 
 
+def _add_partial_without_n(acc, p, i, sign):
+    for e, c in p._terms.items():
+        if e[i]:
+            d = e[:i] + (e[i] - 1,) + e[i + 1:]
+            acc[d] = acc.get(d, 0) + sign * c
+
+
+def _add_partial_lowering_by_2(acc, p, i, sign):
+    for e, c in p._terms.items():
+        if e[i]:
+            d = e[:i] + (e[i] - 2,) + e[i + 1:]
+            acc[d] = acc.get(d, 0) + sign * e[i] * c
+
+
+def _finish_keeping_zeros(acc):
+    return Polynomial._trusted({e: fields._canonical(c) for e, c in acc.items()})
+
+
 # (module or table, binding, replacement,
 #  exit codes of associativity, examples, identities and oracle at --trials 5)
 MUTANTS = {
@@ -60,6 +82,10 @@ MUTANTS = {
     "grad doubled": (fields._OPERATORS, Operator.GRAD, _grad_doubled, (0, 3, 3, 3)),
     "grad components 1 and 2 swapped": (fields._OPERATORS, Operator.GRAD, _grad_swapped_12, (0, 3, 3, 3)),
     "oracle column divides by h, not 2h": (fdcheck, "_column", _column_over_h, (0, 0, 0, 3)),
+    "apply_chain applies the ops outermost first": (fields, "reversed", lambda ops: ops, (3, 3, 3, 3)),
+    "_add_partial drops the factor n": (fields, "_add_partial", _add_partial_without_n, (0, 3, 3, 3)),
+    "_add_partial lowers the exponent by 2": (fields, "_add_partial", _add_partial_lowering_by_2, (0, 3, 3, 3)),
+    "_finish keeps zeros": (fields, "_finish", _finish_keeping_zeros, (0, 3, 3, 0)),
     "classifier misses curl-grad": (
         importlib.import_module("nablachain.classify"),
         "ANNIHILATING_PAIRS",
@@ -75,7 +101,7 @@ def test_mutant_fails_some_suite(mutant, monkeypatch, capsys):
     if isinstance(target, dict):
         monkeypatch.setitem(target, binding, replacement)
     else:
-        monkeypatch.setattr(target, binding, replacement)
+        monkeypatch.setattr(target, binding, replacement, raising=False)
     suites = sorted(verify.SUITES)
     codes = tuple(main(["verify", "--suite", suite, "--trials", "5"]) for suite in suites)
     capsys.readouterr()

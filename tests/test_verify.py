@@ -69,14 +69,31 @@ BROKEN_CURL_GOLDEN = json.loads(
 )
 
 
+def _drop_curl_signs(monkeypatch):
+    """Curl is the only caller of _add_partial with sign -1: this curl ignores its minus signs."""
+    add_partial = fields._add_partial
+    monkeypatch.setattr(fields, "_add_partial", lambda acc, p, i, sign: add_partial(acc, p, i, 1))
+
+
 @pytest.mark.parametrize("case", BROKEN_CURL_GOLDEN, ids=lambda c: f"{c['suite']}-{c['seed']}")
 def test_verify_failure_output_matches_golden(case, capsys, monkeypatch):
     """A curl that ignores its minus signs fails the same checks with the same details."""
-    add_partial = fields._add_partial
-    monkeypatch.setattr(fields, "_add_partial", lambda acc, p, i, sign: add_partial(acc, p, i, 1))
+    _drop_curl_signs(monkeypatch)
     argv = ["verify", "--suite", case["suite"], "--seed", str(case["seed"]), "--trials", str(case["trials"])]
     code = main(argv)
     assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+
+
+def test_basis_checks_ignore_trials_and_seed(capsys, monkeypatch):
+    # The checks that sweep the monomial basis draw nothing, so a failure
+    # names the same monomial whatever --trials and --seed say.
+    _drop_curl_signs(monkeypatch)
+    fails = []
+    for trials, seed in [(1, 0), (100, 7)]:
+        assert main(["verify", "--suite", "identities", "--trials", str(trials), "--seed", str(seed)]) == 3
+        fails.append([line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")])
+    assert len(fails[0]) == 9
+    assert fails[0] == fails[1]
 
 
 def test_oracle_suite_passes_where_cubic_error_exceeds_old_floor():
