@@ -19,9 +19,8 @@ from enum import Enum
 from typing import Union
 
 from . import fields
-from .errors import SortMismatchError
-from .fields import FieldValue, apply_chain, sort_of
-from .operators import Operator, Sort, chain
+from .fields import FieldValue, apply_chain
+from .operators import Operator, chain
 
 DEFAULT_MAX_ORDER = 16
 
@@ -30,10 +29,6 @@ class CollectionKind(Enum):
     HARMONIC = "harmonic"
     CURLING = "curling"
     VECTOR_HARMONIC = "vharmonic"
-
-    @property
-    def required_sort(self) -> Sort:
-        return Sort.SCALAR if self is CollectionKind.HARMONIC else Sort.VECTOR
 
 
 @dataclass(frozen=True)
@@ -60,12 +55,12 @@ def collection_order(kind: CollectionKind, field: FieldValue, max_n: int = DEFAU
     least one and the laplacian by at least two, so every order is at
     most the field's degree + 1 (1 for the zero field) and resolves once
     max_n reaches it; below that, any collection can come back as
-    ExceedsBound.
+    ExceedsBound.  A field of the wrong sort is rejected with
+    SortMismatchError by the first iterate's operator: ``laplacian``,
+    ``vector_laplacian`` or, for curl, ``apply_chain``.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    if sort_of(field) != kind.required_sort:
-        raise SortMismatchError(kind.required_sort, sort_of(field), context=kind.value)
     current = field
     for n in range(1, max_n + 1):
         if kind is CollectionKind.HARMONIC:

@@ -5,9 +5,8 @@ rational coefficients, stored as a map from exponent triples to nonzero
 coefficients.  An integral coefficient is stored as a plain ``int`` and
 any other as a ``fractions.Fraction``, never as a Fraction with
 denominator 1, so the map is canonical and integer-only work never
-touches Fraction arithmetic.  The public ``Polynomial.terms`` is a
-read-only ``Fraction``-valued view of that map, rebuilt on each access
-rather than cached.  Vector fields are triples of such polynomials
+touches Fraction arithmetic.  The public ``Polynomial.terms`` is that
+map itself, read-only.  Vector fields are triples of such polynomials
 against the standard basis.  All arithmetic is exact, so the zero test
 is decidable: a field is identically zero iff every term map is empty.
 That is what makes this module usable as ground truth for operator
@@ -110,10 +109,9 @@ class Polynomial:
 
     Kept canonical at all times: no stored coefficient is zero, and an
     integral one is a plain ``int``, so structural equality of the term
-    maps is exact equality of polynomials.  ``terms`` exposes the map as
-    a read-only view with ``Fraction`` values, rebuilt on each access.
-    Instances are treated as immutable; ``_trusted`` is the only
-    constructor the module's own operations use.
+    maps is exact equality of polynomials.  ``terms`` is the stored map,
+    read-only.  Instances are treated as immutable; ``_trusted`` is the
+    only constructor the module's own operations use.
     """
 
     __slots__ = ("_terms",)
@@ -147,9 +145,9 @@ class Polynomial:
         return p
 
     @property
-    def terms(self) -> Mapping[Exponents, Fraction]:
-        """The term map with every coefficient as a Fraction (read-only, not cached)."""
-        return MappingProxyType({e: c if type(c) is Fraction else Fraction(c) for e, c in self._terms.items()})
+    def terms(self) -> Mapping[Exponents, Coefficient]:
+        """The stored term map, read-only: int coefficients when integral, else Fraction."""
+        return MappingProxyType(self._terms)
 
     @classmethod
     def zero(cls) -> Polynomial:
@@ -502,7 +500,7 @@ def _terms_from_pairs(entries, where: str) -> Polynomial:
 
 def dumps_field(field: FieldValue) -> str:
     """Encode a field as its canonical JSON document."""
-    if isinstance(field, Polynomial):
+    if sort_of(field) is Sort.SCALAR:
         return json.dumps({"kind": "scalar", "terms": _terms_to_json(field)})
     return json.dumps({"kind": "vector", "components": [_terms_to_json(c) for c in field.components]})
 

@@ -235,6 +235,18 @@ def test_order_sort_mismatch(rot_file, capsys):
     assert capsys.readouterr().err != ""
 
 
+@pytest.mark.parametrize(
+    "collection, field, want",
+    [("harmonic", "rot", "scalar"), ("curling", "r2", "vector"), ("vharmonic", "r2", "vector")],
+)
+def test_order_rejects_the_other_sort(collection, field, want, request, capsys):
+    path = request.getfixturevalue(f"{field}_file")
+    assert main(["order", "--collection", collection, "--field", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"expected {want} input" in captured.err
+
+
 def test_order_unknown_collection(r2_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["order", "--collection", "spherical", "--field", r2_file])

@@ -61,14 +61,10 @@ def test_order_validates_inputs():
         collection_order(CollectionKind.HARMONIC, rot, 5)
     with pytest.raises(SortMismatchError):
         collection_order(CollectionKind.CURLING, x1, 5)
+    with pytest.raises(SortMismatchError):
+        collection_order(CollectionKind.VECTOR_HARMONIC, x1, 5)
     with pytest.raises(ValueError):
         collection_order(CollectionKind.HARMONIC, x1, 0)
-
-
-def test_required_sorts():
-    assert CollectionKind.HARMONIC.required_sort.value == "scalar"
-    assert CollectionKind.CURLING.required_sort.value == "vector"
-    assert CollectionKind.VECTOR_HARMONIC.required_sort.value == "vector"
 
 
 def test_annihilates_examples():

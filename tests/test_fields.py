@@ -58,9 +58,22 @@ def test_zero_coefficients_are_dropped():
     assert p.terms == {(0, 1, 0): Fraction(2)}
 
 
-def test_integer_coefficients_become_fractions():
-    p = Polynomial({(1, 0, 0): 3})
-    assert isinstance(p.terms[(1, 0, 0)], Fraction)
+def test_integral_coefficients_are_ints():
+    p = Polynomial({(1, 0, 0): 3, (0, 1, 0): Fraction(6, 2), (0, 0, 1): Fraction(1, 2)})
+    assert type(p.terms[(1, 0, 0)]) is int
+    assert type(p.terms[(0, 1, 0)]) is int
+    assert type(p.terms[(0, 0, 1)]) is Fraction
+
+
+def test_terms_is_read_only():
+    p = x1 * x1 + x2 * Fraction(1, 2)
+    before, before_hash = dict(p.terms), hash(p)
+    with pytest.raises(TypeError):
+        p.terms[(1, 0, 0)] = 1
+    with pytest.raises(TypeError):
+        del p.terms[(2, 0, 0)]
+    assert dict(p.terms) == before and hash(p) == before_hash
+    assert p == x1 * x1 + x2 * Fraction(1, 2)
 
 
 def test_coefficients_are_stored_canonically():
@@ -81,7 +94,7 @@ def test_coefficients_are_stored_canonically():
     ]
     # Each result has an integral coefficient reached through Fraction arithmetic.
     for p in results:
-        stored = p._terms.values()
+        stored = p.terms.values()
         assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in stored), p
         assert any(type(c) is int for c in stored), p
 
@@ -342,6 +355,12 @@ def test_json_round_trip_property(p):
 def test_zero_fields_serialize_to_empty_terms():
     assert json.loads(dumps_field(Polynomial.zero())) == {"kind": "scalar", "terms": []}
     assert json.loads(dumps_field(VectorField.zero()))["components"] == [[], [], []]
+
+
+@pytest.mark.parametrize("value", [5, None, "x1", [x1, x2, x3]])
+def test_dumps_field_rejects_non_fields(value):
+    with pytest.raises(TypeError, match="not a field value"):
+        dumps_field(value)
 
 
 def test_missing_terms_mean_zero():

@@ -57,11 +57,9 @@ def to_sympy(p: Polynomial):
 
 
 def assert_matches(p: Polynomial, want) -> None:
-    """p has the terms of the sympy Poly want, and its term view is Fraction-valued."""
-    assert all(type(c) is Fraction for c in p.terms.values())
+    """p has the terms of the sympy Poly want, each int when integral and a Fraction otherwise."""
     assert dict(p.terms) == {e: Fraction(int(r.p), int(r.q)) for e, r in want.as_dict().items()}
-    # Storage is canonical: an integral coefficient is never a Fraction.
-    assert not any(type(c) is Fraction and c.denominator == 1 for c in p._terms.values())
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in p.terms.values())
 
 
 @oracle
