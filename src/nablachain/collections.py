@@ -57,8 +57,11 @@ def collection_order(kind: CollectionKind, field: FieldValue, max_n: int = DEFAU
     max_n reaches it; below that, any collection can come back as
     ExceedsBound.  A field of the wrong sort is rejected with
     SortMismatchError by the first iterate's operator: ``laplacian``,
-    ``vector_laplacian`` or, for curl, ``apply_chain``.
+    ``vector_laplacian`` or, for curl, ``apply_chain``.  A kind that is
+    not a ``CollectionKind`` is a ``TypeError``.
     """
+    if not isinstance(kind, CollectionKind):
+        raise TypeError(f"kind must be a CollectionKind, got {kind!r}")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     current = field

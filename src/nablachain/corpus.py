@@ -14,13 +14,13 @@ generator is intentionally simple enough to restate in a sentence each:
   polynomial.
 * a vector draw is three scalar draws of its kind, one per component.
 * ``random_point(rng)`` draws each coordinate uniformly from [-1, 1].
-* harmonic draws are integer combinations of a fixed basis of harmonic
-  polynomials through degree three, with coefficients
-  ``rng.randint(-9, 9)``, redrawn until nonzero.
+* harmonic draws are integer combinations of ``harmonic_basis(m)``,
+  m = 0..3, with coefficients ``rng.randint(-9, 9)``, redrawn until nonzero.
 
-One enumeration consumes no randomness: ``monomials(sort, d)`` lists
-each monomial of total degree exactly d with coefficient 1, for vectors
-in each of the three slots; it is a basis for the linear claims.
+Two enumerations consume no randomness and are the bases the linear
+claims sweep: ``monomials(sort, d)``, each monomial of total degree
+exactly d with coefficient 1, and ``harmonic_basis(m)``, the 2m+1
+primitive integer harmonic polynomials of degree m.
 
 All draws consume the generator strictly left to right, so inserting a
 new draw anywhere changes every corpus after it; treat the order as part
@@ -30,6 +30,8 @@ of the format.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from math import factorial, gcd
 
 from .fields import FieldValue, Polynomial, VectorField
 from .operators import Sort
@@ -55,56 +57,55 @@ def random_vector_field(rng: random.Random, degree: int) -> VectorField:
     return VectorField(*(random_polynomial(rng, degree) for _ in range(3)))
 
 
+def each_slot(scalars: list[Polynomial]) -> list[VectorField]:
+    """Each scalar as a vector field in each of the three slots, the others zero."""
+    zero = Polynomial.zero()
+    return [VectorField(*(s if i == slot else zero for i in range(3))) for s in scalars for slot in range(3)]
+
+
 def monomials(sort: Sort, d: int) -> list[FieldValue]:
     """Every monomial of total degree exactly d with coefficient 1; a vector one in each slot."""
     scalars = [Polynomial.monomial((e1, e2, d - e1 - e2)) for e1 in range(d + 1) for e2 in range(d + 1 - e1)]
-    if sort is Sort.SCALAR:
-        return scalars
-    zero = Polynomial.zero()
-    return [VectorField(*(m if i == slot else zero for i in range(3))) for m in scalars for slot in range(3)]
+    return scalars if sort is Sort.SCALAR else each_slot(scalars)
 
 
-# Harmonic polynomials through total degree 3: 1 constant, 3 linear,
-# 5 quadratic, 7 cubic, as integer term maps.  Integer combinations stay
-# harmonic, and a draw sums them into one map before building anything.
-_HARMONIC_TERMS: tuple[dict[tuple[int, int, int], int], ...] = (
-    {(0, 0, 0): 1},
-    {(1, 0, 0): 1},
-    {(0, 1, 0): 1},
-    {(0, 0, 1): 1},
-    {(1, 1, 0): 1},
-    {(1, 0, 1): 1},
-    {(0, 1, 1): 1},
-    {(2, 0, 0): 1, (0, 2, 0): -1},
-    {(0, 2, 0): 1, (0, 0, 2): -1},
-    {(1, 1, 1): 1},
-    {(1, 2, 0): 1, (1, 0, 2): -1},
-    {(2, 1, 0): 1, (0, 1, 2): -1},
-    {(2, 0, 1): 1, (0, 2, 1): -1},
-    {(3, 0, 0): 1, (1, 2, 0): -3},
-    {(0, 3, 0): 1, (0, 1, 2): -3},
-    {(0, 0, 3): 1, (2, 0, 1): -3},
-)
-HARMONIC_BASIS: tuple[Polynomial, ...] = tuple(Polynomial(t) for t in _HARMONIC_TERMS)
+@lru_cache(maxsize=None)
+def harmonic_basis(m: int) -> tuple[Polynomial, ...]:
+    """The 2m+1 primitive integer harmonic polynomials of degree m, built on first use.
+
+    Each is m! * sum_j x1^j/j! * g_j, g_(j+2) = -(d2^2 + d3^2) g_j, seeded by g_0 = x2^b x3^(m-b)
+    or g_1 = x2^b x3^(m-1-b); each g_j is an int map over (x2, x3) exponents, not an engine value.
+    """
+    seeds = [(0, {(b, m - b): 1}) for b in range(m + 1)] + [(1, {(b, m - 1 - b): 1}) for b in range(m)]
+    basis = []
+    for j, g in seeds:
+        terms: dict[tuple[int, int, int], int] = {}
+        while g:
+            step: dict[tuple[int, int], int] = {}
+            for (a, b), c in g.items():
+                terms[j, a, b] = factorial(m) // factorial(j) * c
+                for d, n in (((a - 2, b), a), ((a, b - 2), b)):
+                    if n > 1:
+                        step[d] = step.get(d, 0) - n * (n - 1) * c
+            g = {e: c for e, c in step.items() if c}
+            j += 2
+        divisor = gcd(*terms.values())
+        basis.append(Polynomial({e: c // divisor for e, c in terms.items()}))
+    return tuple(basis)
 
 
 def random_harmonic_polynomial(rng: random.Random) -> Polynomial:
-    """A nonzero integer combination of the harmonic basis."""
+    """A nonzero integer combination of the harmonic basis through degree 3."""
     while True:
         terms: dict[tuple[int, int, int], int] = {}
-        for basis_terms in _HARMONIC_TERMS:
+        for h in (h for m in range(4) for h in harmonic_basis(m)):
             c = rng.randint(COEFF_LO, COEFF_HI)
             if c:
-                for e, k in basis_terms.items():
+                for e, k in h.terms.items():
                     terms[e] = terms.get(e, 0) + c * k
         p = Polynomial(terms)
         if not p.is_zero:
             return p
-
-
-def random_vector_harmonic_field(rng: random.Random) -> VectorField:
-    """A vector field whose components are each harmonic, not all zero."""
-    return VectorField(*(random_harmonic_polynomial(rng) for _ in range(3)))
 
 
 def radius_squared() -> Polynomial:

@@ -14,14 +14,17 @@ how ``apply_chain`` orders and groups them, never the operators
 themselves; an operator slip is caught by the other three suites
 (``tests/test_mutants.py``).
 
-Claims closed under linear combination are checked on the monomial
-basis (``corpus.monomials``), which proves them for every field of the
-degrees swept, and ignore trials and seed: both annihilations, the
-decomposition, the third-order zeros and the multiplication identities
-over degrees 0..degree, and classifier agreement, which judges a
-length-n chain on the degree-n monomials.  ``chain linearity``, which
-licenses this, and the degree steps ("exactly one lower" is not closed
-under sums) stay sampled.
+Claims closed under linear combination are checked on a basis over
+degrees 0..degree, which proves them for every field of those degrees,
+and ignore trials and seed.  The monomials (``corpus.monomials``) carry
+both annihilations, the decomposition, the third-order zeros, the
+multiplication identities and classifier agreement (a length-n chain
+on the degree-n monomials); the harmonic basis
+(``corpus.harmonic_basis``), scalar and in each vector slot, carries
+the harmonic claims of ``examples``.  ``chain linearity``, which
+licenses this, the degree steps ("exactly one lower" is not closed
+under sums) and ``iterate order ladder`` ("exact order" is not linear
+either) stay sampled.
 
 Every check runs through one runner,
 ``_sweep(name, seed, reps, draw, violation)``, the only code here that
@@ -61,13 +64,14 @@ from .classify import (
 )
 from .collections import CollectionKind, Order, collection_order
 from .corpus import (
+    each_slot,
+    harmonic_basis,
     monomials,
     random_harmonic_polynomial,
     random_point,
     random_polyharmonic_of_order,
     random_polynomial,
     random_vector_field,
-    random_vector_harmonic_field,
     radius_squared,
 )
 from .errors import MeaninglessChainError, NablachainError, SortMismatchError
@@ -285,27 +289,22 @@ def run_associativity(trials: int, seed: int, degree: int) -> list[CheckResult]:
 # -- examples ----------------------------------------------------------------
 
 
-# The eight meaningful third-order words, the three nontrivial ones
-# first (sorted() is stable, so each group keeps enumeration order).
-# The first that does not vanish is the counterexample printed, and
-# nontrivial-first is the order that detail is pinned to: plain
-# enumeration order would name another chain under a broken curl
-# ("curl curl grad" instead of "curl curl curl").
-_ORDER3_CHAINS = tuple(
-    sorted(meaningful_chains(3), key=lambda c: isinstance(classify(c), TrivialZero))
-)
+_ORDER3_CHAINS = tuple(meaningful_chains(3))
 
 
-def _harmonic_products_violation(case: tuple[Polynomial, VectorField]) -> Optional[str]:
-    """Every third-order chain kills a harmonic f or a vector harmonic v."""
-    f, v = case
-    if not fields.laplacian(f).is_zero:
-        return "scalar field is not harmonic"
-    if not fields.vector_laplacian(v).is_zero:
-        return "vector field is not vector harmonic"
+def _harmonic_products_violation(field: FieldValue) -> Optional[str]:
+    """Every third-order chain on the field's sort kills a harmonic f or a vector harmonic v."""
+    if isinstance(field, Polynomial):
+        sort, label = Sort.SCALAR, "f"
+        if not fields.laplacian(field).is_zero:
+            return "scalar field is not harmonic"
+    else:
+        sort, label = Sort.VECTOR, "v"
+        if not fields.vector_laplacian(field).is_zero:
+            return "vector field is not vector harmonic"
     for c in _ORDER3_CHAINS:
-        if not apply_chain(c, f if c.innermost.domain is Sort.SCALAR else v).is_zero:
-            return f"chain {format_chain(c)}, f = {f!r}, v = {v!r}"
+        if c.innermost.domain is sort and not apply_chain(c, field).is_zero:
+            return f"chain {format_chain(c)}, {label} = {field!r}"
     return None
 
 
@@ -384,24 +383,20 @@ def _check_order_witnesses() -> CheckResult:
     return _each("collection order witnesses", cases, violation)
 
 
-def _check_multiplier_keeps_membership(
-    multiplier: Polynomial, label: str, trials: int, seed: int
-) -> CheckResult:
-    """Inputs alternate between orders n = 2 and n = 3."""
+def _check_multiplier_keeps_membership(multiplier: Polynomial, label: str, harmonic: list[Polynomial]) -> CheckResult:
+    """multiplier * f has order <= n for f = r^(2(n-2)) h, n in {2, 3}: by Almansi's theorem these span H_(n-1)."""
 
-    def draw(rng, i):
-        n = 2 + i % 2
-        return random_polyharmonic_of_order(rng, n - 1), n
+    r2 = radius_squared()
 
     def violation(case):
-        f, n = case
+        h, n = case
+        f = r2 * h if n == 3 else h
         got = collection_order(CollectionKind.HARMONIC, multiplier * f, 10)
         if isinstance(got, Order) and got.n <= n:
             return None
         return f"f = {f!r}, n = {n}, got {got!r}"
 
-    reps = 2 * max(1, trials // 2)
-    return _sweep(f"{label} multiple stays polyharmonic", seed, reps, draw, violation)
+    return _each(f"{label} multiple stays polyharmonic", [(h, n) for h in harmonic for n in (2, 3)], violation)
 
 
 def _draw_ladder(rng: random.Random, i: int):
@@ -432,23 +427,20 @@ def _ladder_violation(case) -> Optional[str]:
 
 
 def run_examples(trials: int, seed: int, degree: int) -> list[CheckResult]:
+    harmonic = [h for m in range(degree + 1) for h in harmonic_basis(m)]
+    vector_harmonic = each_slot(harmonic)
     return [
-        _sweep("third-order products vanish on harmonic inputs", seed, trials,
-               lambda rng, i: (random_harmonic_polynomial(rng), random_vector_harmonic_field(rng)),
-               _harmonic_products_violation),
+        _each("third-order products vanish on harmonic inputs", harmonic + vector_harmonic,
+              _harmonic_products_violation),
         _check_multiplication_identity("laplacian power of coordinate multiple", 1,
                                        _coordinate_multiple_rhs, degree),
         _check_multiplication_identity("laplacian power of squared-coordinate multiple", 2,
                                        _squared_coordinate_multiple_rhs, degree),
-        _sweep("curl of curl equals grad of div on vector harmonics", seed, trials,
-               lambda rng, i: random_vector_harmonic_field(rng), _vector_harmonic_swap_violation),
+        _each("curl of curl equals grad of div on vector harmonics", vector_harmonic,
+              _vector_harmonic_swap_violation),
         _check_order_witnesses(),
-        _check_multiplier_keeps_membership(
-            Polynomial.variable(1), "coordinate", trials, seed
-        ),
-        _check_multiplier_keeps_membership(
-            radius_squared(), "radius-squared", trials, seed
-        ),
+        _check_multiplier_keeps_membership(Polynomial.variable(1), "coordinate", harmonic),
+        _check_multiplier_keeps_membership(radius_squared(), "radius-squared", harmonic),
         _sweep("iterate order ladder", seed, max(1, trials // 10), _draw_ladder, _ladder_violation),
     ]
 

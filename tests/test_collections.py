@@ -65,6 +65,10 @@ def test_order_validates_inputs():
         collection_order(CollectionKind.VECTOR_HARMONIC, x1, 5)
     with pytest.raises(ValueError):
         collection_order(CollectionKind.HARMONIC, x1, 0)
+    # A kind's value is not a kind: (x1^2, 0, 0) has curling order 1, not
+    # the vector harmonic order 2 an unchecked fall-through would report.
+    with pytest.raises(TypeError):
+        collection_order("curling", VectorField(x1 * x1, Polynomial.zero(), Polynomial.zero()), 5)
 
 
 def test_annihilates_examples():
@@ -203,7 +207,8 @@ def test_report_vanishes_on_harmonic_inputs():
     assert all(report.values())
     assert "grad div grad" in report
     assert "curl curl curl" in report
-    assert verify._harmonic_products_violation((f, v)) is None
+    assert verify._harmonic_products_violation(f) is None
+    assert verify._harmonic_products_violation(v) is None
 
 
 def test_report_on_random_harmonic_inputs():
@@ -219,12 +224,12 @@ def test_report_on_random_harmonic_inputs():
 
 
 def test_report_rejects_non_harmonic_scalar():
-    violation = verify._harmonic_products_violation((x1 * x1, VectorField(x2, x3, x1)))
+    violation = verify._harmonic_products_violation(x1 * x1)
     assert violation == "scalar field is not harmonic"
 
 
 def test_report_rejects_non_harmonic_vector():
-    violation = verify._harmonic_products_violation((x1, VectorField(r2, x1, x2)))
+    violation = verify._harmonic_products_violation(VectorField(r2, x1, x2))
     assert violation == "vector field is not vector harmonic"
 
 

@@ -1,13 +1,15 @@
 import random
-from math import comb
+from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 
+from nablachain import fields
 from nablachain.collections import CollectionKind, Order, collection_order
 from nablachain.corpus import (
     COEFF_HI,
     COEFF_LO,
-    HARMONIC_BASIS,
+    harmonic_basis,
     monomials,
     radius_squared,
     random_harmonic_polynomial,
@@ -15,10 +17,11 @@ from nablachain.corpus import (
     random_polyharmonic_of_order,
     random_polynomial,
     random_vector_field,
-    random_vector_harmonic_field,
 )
 from nablachain.fields import Polynomial, VectorField, laplacian
 from nablachain.operators import Sort
+
+from test_mutants import _add_partial_without_n
 
 
 def test_same_seed_reproduces_draws():
@@ -57,11 +60,85 @@ def test_vector_draws_are_componentwise():
     assert all(comp.degree() <= 4 for comp in v.components)
 
 
-def test_harmonic_basis_properties():
-    assert len(HARMONIC_BASIS) == 16
-    assert len(set(HARMONIC_BASIS)) == 16
-    for h in HARMONIC_BASIS:
-        assert laplacian(h) == Polynomial.zero()
+# The hand-written harmonic basis through degree 3 that harmonic_basis replaced.
+OLD_HARMONIC_TERMS = (
+    {(0, 0, 0): 1},
+    {(1, 0, 0): 1},
+    {(0, 1, 0): 1},
+    {(0, 0, 1): 1},
+    {(1, 1, 0): 1},
+    {(1, 0, 1): 1},
+    {(0, 1, 1): 1},
+    {(2, 0, 0): 1, (0, 2, 0): -1},
+    {(0, 2, 0): 1, (0, 0, 2): -1},
+    {(1, 1, 1): 1},
+    {(1, 2, 0): 1, (1, 0, 2): -1},
+    {(2, 1, 0): 1, (0, 1, 2): -1},
+    {(2, 0, 1): 1, (0, 2, 1): -1},
+    {(3, 0, 0): 1, (1, 2, 0): -3},
+    {(0, 3, 0): 1, (0, 1, 2): -3},
+    {(0, 0, 3): 1, (2, 0, 1): -3},
+)
+
+
+def _rank(polys):
+    """Exact rank of the polynomials' coefficient vectors, by Fraction elimination."""
+    keys = sorted({e for p in polys for e in p.terms})
+    rows = [[Fraction(p.terms.get(e, 0)) for e in keys] for p in polys]
+    rank = 0
+    for col in range(len(keys)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _second_partials_sum(h):
+    """d1^2 h + d2^2 h + d3^2 h as a term map, zeros dropped."""
+    out = {}
+    for e, c in h.terms.items():
+        for i in range(3):
+            if e[i] > 1:
+                d = e[:i] + (e[i] - 2,) + e[i + 1:]
+                out[d] = out.get(d, 0) + e[i] * (e[i] - 1) * c
+    return {d: c for d, c in out.items() if c}
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_harmonic_basis_of_each_degree(m):
+    basis = harmonic_basis(m)
+    assert len(set(basis)) == len(basis) == 2 * m + 1
+    for h in basis:
+        assert all(sum(e) == m for e in h.terms)
+        coeffs = list(h.terms.values())
+        assert all(type(c) is int for c in coeffs) and gcd(*coeffs) == 1
+        assert laplacian(h).is_zero
+        assert _second_partials_sum(h) == {}
+    assert _rank(basis) == 2 * m + 1
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_harmonic_basis_spans_the_old_table(m):
+    old = [Polynomial(t) for t in OLD_HARMONIC_TERMS if sum(next(iter(t))) == m]
+    assert len(old) == 2 * m + 1
+    assert _rank(list(harmonic_basis(m)) + old) == 2 * m + 1
+
+
+def test_harmonic_basis_does_not_depend_on_the_engines_partial(monkeypatch):
+    # A cached basis built with the engine's partial would carry a mutant
+    # into every later test.
+    want = harmonic_basis(3)
+    monkeypatch.setattr(fields, "_add_partial", _add_partial_without_n)
+    harmonic_basis.cache_clear()
+    try:
+        assert harmonic_basis(3) == want
+    finally:
+        harmonic_basis.cache_clear()
 
 
 def test_random_harmonic_polynomial_is_harmonic():
@@ -75,7 +152,7 @@ def test_random_harmonic_polynomial_is_harmonic():
 def test_random_vector_harmonic_field_componentwise():
     rng = random.Random(8)
     for _ in range(10):
-        v = random_vector_harmonic_field(rng)
+        v = VectorField(*(random_harmonic_polynomial(rng) for _ in range(3)))
         for comp in v.components:
             assert laplacian(comp) == Polynomial.zero()
 

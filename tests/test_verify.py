@@ -96,6 +96,21 @@ def test_basis_checks_ignore_trials_and_seed(capsys, monkeypatch):
     assert fails[0] == fails[1]
 
 
+def test_harmonic_checks_ignore_trials_and_seed(capsys, monkeypatch):
+    # The examples checks on harmonic inputs sweep the derived harmonic
+    # basis, so a failure names the same basis field whatever --trials
+    # and --seed say.
+    _drop_curl_signs(monkeypatch)
+    swept = ("FAIL third-order products vanish on harmonic inputs:",
+             "FAIL curl of curl equals grad of div on vector harmonics:")
+    fails = []
+    for trials, seed in [(1, 0), (100, 7)]:
+        assert main(["verify", "--suite", "examples", "--trials", str(trials), "--seed", str(seed)]) == 3
+        fails.append([line for line in capsys.readouterr().out.splitlines() if line.startswith(swept)])
+    assert len(fails[0]) == 2
+    assert fails[0] == fails[1]
+
+
 def test_oracle_suite_passes_where_cubic_error_exceeds_old_floor():
     # At this seed a curl entry deviates by about 1.2e-9: above the former
     # absolute floor of 1e-9, inside the cubic error bound of about 3e-8.
