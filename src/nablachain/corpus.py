@@ -14,11 +14,9 @@ generator is intentionally simple enough to restate in a sentence each:
   polynomial.
 * a vector draw is three scalar draws of its kind, one per component.
 * ``random_point(rng)`` draws each coordinate uniformly from [-1, 1].
-* harmonic draws are integer combinations of ``harmonic_basis(m)``,
-  m = 0..3, with coefficients ``rng.randint(-9, 9)``, redrawn until nonzero.
 
-Two enumerations consume no randomness and are the bases the linear
-claims sweep: ``monomials(sort, d)``, each monomial of total degree
+Two enumerations consume no randomness and are the bases the swept
+claims are built on: ``monomials(sort, d)``, each monomial of total degree
 exactly d with coefficient 1, and ``harmonic_basis(m)``, the 2m+1
 primitive integer harmonic polynomials of degree m.
 
@@ -94,37 +92,8 @@ def harmonic_basis(m: int) -> tuple[Polynomial, ...]:
     return tuple(basis)
 
 
-def random_harmonic_polynomial(rng: random.Random) -> Polynomial:
-    """A nonzero integer combination of the harmonic basis through degree 3."""
-    while True:
-        terms: dict[tuple[int, int, int], int] = {}
-        for h in (h for m in range(4) for h in harmonic_basis(m)):
-            c = rng.randint(COEFF_LO, COEFF_HI)
-            if c:
-                for e, k in h.terms.items():
-                    terms[e] = terms.get(e, 0) + c * k
-        p = Polynomial(terms)
-        if not p.is_zero:
-            return p
-
-
 def radius_squared() -> Polynomial:
     return Polynomial({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-
-
-def random_polyharmonic_of_order(rng: random.Random, order: int) -> Polynomial:
-    """A field whose laplacian order is exactly the one requested.
-
-    Multiplying a harmonic field by the squared radius raises the order
-    by exactly one, so order k comes from k - 1 such multiplications.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    p = random_harmonic_polynomial(rng)
-    r2 = radius_squared()
-    for _ in range(order - 1):
-        p = r2 * p
-    return p
 
 
 def random_point(rng: random.Random) -> tuple[float, float, float]:

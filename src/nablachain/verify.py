@@ -21,10 +21,12 @@ both annihilations, the decomposition, the third-order zeros, the
 multiplication identities and classifier agreement (a length-n chain
 on the degree-n monomials); the harmonic basis
 (``corpus.harmonic_basis``), scalar and in each vector slot, carries
-the harmonic claims of ``examples``.  ``chain linearity``, which
-licenses this, the degree steps ("exactly one lower" is not closed
-under sums) and ``iterate order ladder`` ("exact order" is not linear
-either) stay sampled.
+the harmonic claims of ``examples``.  ``iterate order ladder`` ("exact
+order" is not linear) sweeps cases built from them: r^(2(k-1)) h for
+each basis h and k = 1, 2, 3, of order exactly k by Almansi's theorem,
+so ``examples`` draws nothing.  ``chain linearity``, which licenses the
+linear sweeps, and the degree steps ("exactly one lower" is not closed
+under sums) stay sampled.
 
 Every check runs through one runner,
 ``_sweep(name, seed, reps, draw, violation)``, the only code here that
@@ -55,21 +57,13 @@ from itertools import product
 from typing import Callable, Optional, TypeVar
 
 from . import fields
-from .classify import (
-    Family,
-    TrivialZero,
-    classify,
-    meaningful_chains,
-    nontrivial_chain,
-)
+from .classify import TrivialZero, classify, meaningful_chains
 from .collections import CollectionKind, Order, collection_order
 from .corpus import (
     each_slot,
     harmonic_basis,
     monomials,
-    random_harmonic_polynomial,
     random_point,
-    random_polyharmonic_of_order,
     random_polynomial,
     random_vector_field,
     radius_squared,
@@ -144,6 +138,7 @@ def _draw_points(rng: random.Random) -> list[tuple[float, float, float]]:
 _ROTATION = VectorField(-Polynomial.variable(2), Polynomial.variable(1), Polynomial.zero())
 _CURL_CURL = chain(Operator.CURL, Operator.CURL)
 _GRAD_DIV = chain(Operator.GRAD, Operator.DIV)
+_DIV_GRAD = chain(Operator.DIV, Operator.GRAD)
 
 
 # -- identities --------------------------------------------------------------
@@ -363,6 +358,21 @@ def _vector_harmonic_swap_violation(v: VectorField) -> Optional[str]:
     return None if apply_chain(_CURL_CURL, v) == apply_chain(_GRAD_DIV, v) else f"v = {v!r}"
 
 
+def _order_violation(case: tuple[CollectionKind, FieldValue, int]) -> Optional[str]:
+    """The field's order is exactly want; for a harmonic order, (div grad)^m kills it exactly when m >= want."""
+    kind, field, want = case
+    got = collection_order(kind, field, 10)
+    if got != Order(want):
+        return f"{kind.value} of {field!r}: got {got!r}"
+    if kind is CollectionKind.HARMONIC:
+        iterate = field
+        for m in range(1, want + 1):
+            iterate = apply_chain(_DIV_GRAD, iterate)
+            if iterate.is_zero != (m >= want):
+                return f"{kind.value} of {field!r}: iterate {m} of {want}"
+    return None
+
+
 def _check_order_witnesses() -> CheckResult:
     x1 = Polynomial.variable(1)
     x2 = Polynomial.variable(2)
@@ -374,61 +384,41 @@ def _check_order_witnesses() -> CheckResult:
         (CollectionKind.HARMONIC, r2 * r2, 3),
         (CollectionKind.CURLING, _ROTATION, 2),
     ]
+    return _each("collection order witnesses", cases, _order_violation)
+
+
+def _check_multiplier_keeps_membership(
+    multiplier: Polynomial, label: str, polyharmonic: list[tuple[Polynomial, int]],
+) -> CheckResult:
+    """multiplier * f has order <= n = k + 1 for each polyharmonic f of order k <= 2."""
 
     def violation(case):
-        kind, field, want = case
-        got = collection_order(kind, field, 10)
-        return None if got == Order(want) else f"{kind.value} of {field!r}: got {got!r}"
-
-    return _each("collection order witnesses", cases, violation)
-
-
-def _check_multiplier_keeps_membership(multiplier: Polynomial, label: str, harmonic: list[Polynomial]) -> CheckResult:
-    """multiplier * f has order <= n for f = r^(2(n-2)) h, n in {2, 3}: by Almansi's theorem these span H_(n-1)."""
-
-    r2 = radius_squared()
-
-    def violation(case):
-        h, n = case
-        f = r2 * h if n == 3 else h
+        f, k = case
         got = collection_order(CollectionKind.HARMONIC, multiplier * f, 10)
-        if isinstance(got, Order) and got.n <= n:
+        if isinstance(got, Order) and got.n <= k + 1:
             return None
-        return f"f = {f!r}, n = {n}, got {got!r}"
+        return f"f = {f!r}, n = {k + 1}, got {got!r}"
 
-    return _each(f"{label} multiple stays polyharmonic", [(h, n) for h in harmonic for n in (2, 3)], violation)
+    return _each(f"{label} multiple stays polyharmonic", [(f, k) for f, k in polyharmonic if k <= 2], violation)
 
 
-def _draw_ladder(rng: random.Random, i: int):
-    scalars = [random_polyharmonic_of_order(rng, k) for k in (1, 2, 3)]
-    swirl = _ROTATION + apply_chain(chain(Operator.GRAD), random_polynomial(rng, 3))
-    w = VectorField(
-        random_polyharmonic_of_order(rng, 2),
-        random_harmonic_polynomial(rng),
-        random_harmonic_polynomial(rng),
+def _check_order_ladder(polyharmonic: list[tuple[Polynomial, int]], degree: int) -> CheckResult:
+    """Each polyharmonic field, each order-2 one in each vector slot, the rotation plus each monomial's gradient."""
+    grad = chain(Operator.GRAD)
+    cases = (
+        [(CollectionKind.HARMONIC, f, k) for f, k in polyharmonic]
+        + [(CollectionKind.VECTOR_HARMONIC, w, 2) for w in each_slot([f for f, k in polyharmonic if k == 2])]
+        + [(CollectionKind.CURLING, _ROTATION + apply_chain(grad, g), 2) for g in _basis(Sort.SCALAR, degree)]
     )
-    return scalars, swirl, w
-
-
-def _ladder_violation(case) -> Optional[str]:
-    scalars, swirl, w = case
-    for k, f in enumerate(scalars, 1):
-        if collection_order(CollectionKind.HARMONIC, f, 8) != Order(k):
-            return f"scalar f = {f!r}, expected order {k}"
-        for m in range(1, k + 1):
-            step = nontrivial_chain(Family.GRAD_DIV_ALTERNATING, 2 * m)
-            if apply_chain(step, f).is_zero != (m >= k):
-                return f"f = {f!r}, iterate {m} of {k}"
-    if collection_order(CollectionKind.CURLING, swirl, 8) != Order(2):
-        return f"v = {swirl!r}, expected curling order 2"
-    if collection_order(CollectionKind.VECTOR_HARMONIC, w, 8) != Order(2):
-        return f"w = {w!r}, expected vector order 2"
-    return None
+    return _each("iterate order ladder", cases, _order_violation)
 
 
 def run_examples(trials: int, seed: int, degree: int) -> list[CheckResult]:
     harmonic = [h for m in range(degree + 1) for h in harmonic_basis(m)]
     vector_harmonic = each_slot(harmonic)
+    # By Almansi's theorem r^(2(k-1)) h has harmonic order exactly k.
+    radii = [radius_squared() ** j for j in range(3)]
+    polyharmonic = [(radii[k - 1] * h, k) for h in harmonic for k in (1, 2, 3)]
     return [
         _each("third-order products vanish on harmonic inputs", harmonic + vector_harmonic,
               _harmonic_products_violation),
@@ -439,9 +429,9 @@ def run_examples(trials: int, seed: int, degree: int) -> list[CheckResult]:
         _each("curl of curl equals grad of div on vector harmonics", vector_harmonic,
               _vector_harmonic_swap_violation),
         _check_order_witnesses(),
-        _check_multiplier_keeps_membership(Polynomial.variable(1), "coordinate", harmonic),
-        _check_multiplier_keeps_membership(radius_squared(), "radius-squared", harmonic),
-        _sweep("iterate order ladder", seed, max(1, trials // 10), _draw_ladder, _ladder_violation),
+        _check_multiplier_keeps_membership(Polynomial.variable(1), "coordinate", polyharmonic),
+        _check_multiplier_keeps_membership(radius_squared(), "radius-squared", polyharmonic),
+        _check_order_ladder(polyharmonic, degree),
     ]
 
 

@@ -10,11 +10,7 @@ from nablachain.collections import (
     Order,
     collection_order,
 )
-from nablachain.corpus import (
-    random_harmonic_polynomial,
-    random_polyharmonic_of_order,
-    random_polynomial,
-)
+from nablachain.corpus import each_slot, harmonic_basis, random_polynomial
 from nablachain.errors import SortMismatchError
 from nablachain.fields import Polynomial, VectorField, apply_chain, laplacian, vector_laplacian
 from nablachain.operators import Chain, Operator, Sort
@@ -212,15 +208,9 @@ def test_report_vanishes_on_harmonic_inputs():
 
 
 def test_report_on_random_harmonic_inputs():
-    rng = random.Random(12)
-    for _ in range(5):
-        f = random_harmonic_polynomial(rng)
-        v = VectorField(
-            random_harmonic_polynomial(rng),
-            random_harmonic_polynomial(rng),
-            random_harmonic_polynomial(rng),
-        )
-        assert all(third_order_report(f, v).values())
+    for f in (h for m in range(5) for h in harmonic_basis(m)):
+        for v in each_slot([f]):
+            assert all(third_order_report(f, v).values())
 
 
 def test_report_rejects_non_harmonic_scalar():
@@ -238,15 +228,13 @@ def test_report_rejects_non_harmonic_vector():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_generated_fields_have_exact_order(k):
-    rng = random.Random(13 + k)
-    for _ in range(5):
-        f = random_polyharmonic_of_order(rng, k)
+    for h in harmonic_basis(3):
+        f = r2 ** (k - 1) * h
         assert collection_order(CollectionKind.HARMONIC, f, 8) == Order(k)
 
 
 def test_iterates_kill_at_and_above_the_order():
-    rng = random.Random(17)
-    f = random_polyharmonic_of_order(rng, 3)
+    f = r2 * r2 * harmonic_basis(3)[0]
     lap2 = Chain((D, G, D, G))
     lap3 = Chain((D, G, D, G, D, G))
     assert not apply_chain(Chain((D, G)), f).is_zero

@@ -12,9 +12,7 @@ from nablachain.corpus import (
     harmonic_basis,
     monomials,
     radius_squared,
-    random_harmonic_polynomial,
     random_point,
-    random_polyharmonic_of_order,
     random_polynomial,
     random_vector_field,
 )
@@ -141,22 +139,6 @@ def test_harmonic_basis_does_not_depend_on_the_engines_partial(monkeypatch):
         harmonic_basis.cache_clear()
 
 
-def test_random_harmonic_polynomial_is_harmonic():
-    rng = random.Random(7)
-    for _ in range(20):
-        h = random_harmonic_polynomial(rng)
-        assert h != Polynomial.zero()
-        assert laplacian(h) == Polynomial.zero()
-
-
-def test_random_vector_harmonic_field_componentwise():
-    rng = random.Random(8)
-    for _ in range(10):
-        v = VectorField(*(random_harmonic_polynomial(rng) for _ in range(3)))
-        for comp in v.components:
-            assert laplacian(comp) == Polynomial.zero()
-
-
 def test_radius_squared_value():
     x1 = Polynomial.variable(1)
     x2 = Polynomial.variable(2)
@@ -165,16 +147,11 @@ def test_radius_squared_value():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_polyharmonic_draws_have_exact_order(k):
-    rng = random.Random(9)
-    for _ in range(5):
-        f = random_polyharmonic_of_order(rng, k)
+def test_radius_powers_of_the_basis_have_exact_order(k):
+    # Almansi: r^(2(k-1)) h with h harmonic and nonzero has harmonic order exactly k.
+    for h in (h for m in range(5) for h in harmonic_basis(m)):
+        f = radius_squared() ** (k - 1) * h
         assert collection_order(CollectionKind.HARMONIC, f, 10) == Order(k)
-
-
-def test_polyharmonic_rejects_bad_order():
-    with pytest.raises(ValueError):
-        random_polyharmonic_of_order(random.Random(0), 0)
 
 
 def test_random_point_bounds():

@@ -6,9 +6,9 @@ that stops catching a mutant, or starts to, shows up cell by cell.
 Every mutant is installed with one patch at the single binding it
 changes, which is enough to reach every caller in the package:
 ``fields._OPERATORS`` for grad, curl and div, the ``fields.laplacian``
-attribute for the laplacian, ``fields._add_partial`` and
-``fields._finish`` for the shared partial and result builder,
-``fdcheck._column`` for the oracle's stencil and ``ANNIHILATING_PAIRS``
+and ``fields.vector_laplacian`` attributes for the two laplacians,
+``fields._add_partial`` and ``fields._finish`` for the shared partial
+and result builder, ``fdcheck._column`` for the oracle's stencil and ``ANNIHILATING_PAIRS``
 for the classifier.  The outermost-first slip in ``apply_chain`` is a
 module global ``reversed`` in ``fields`` that shadows the builtin; the
 module has no such attribute, so every patch runs with
@@ -69,6 +69,10 @@ def _add_partial_lowering_by_2(acc, p, i, sign):
             acc[d] = acc.get(d, 0) + sign * e[i] * c
 
 
+def _vector_laplacian_without_f3(v):
+    return VectorField(fields.laplacian(v.f1), fields.laplacian(v.f2), Polynomial.zero())
+
+
 def _finish_keeping_zeros(acc):
     return Polynomial._trusted({e: fields._canonical(c) for e, c in acc.items()})
 
@@ -77,6 +81,7 @@ def _finish_keeping_zeros(acc):
 #  exit codes of associativity, examples, identities and oracle at --trials 5)
 MUTANTS = {
     "laplacian n*n": (fields, "laplacian", _laplacian_n_squared, (0, 3, 3, 0)),
+    "vector_laplacian drops f3": (fields, "vector_laplacian", _vector_laplacian_without_f3, (0, 3, 3, 0)),
     "div without x3": (fields._OPERATORS, Operator.DIV, _div_without_x3, (0, 3, 3, 3)),
     "curl components 2 and 3 swapped": (fields._OPERATORS, Operator.CURL, _curl_swapped_23, (0, 3, 3, 3)),
     "grad doubled": (fields._OPERATORS, Operator.GRAD, _grad_doubled, (0, 3, 3, 3)),

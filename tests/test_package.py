@@ -30,6 +30,8 @@ REMOVED = {
     "NotInCollectionError": "errors",
     "HARMONIC_BASIS": "corpus",
     "random_vector_harmonic_field": "corpus",
+    "random_harmonic_polynomial": "corpus",
+    "random_polyharmonic_of_order": "corpus",
 }
 
 

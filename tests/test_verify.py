@@ -5,6 +5,7 @@ import pytest
 
 from nablachain import fields, verify
 from nablachain.cli import main
+from nablachain.collections import CollectionKind
 from nablachain.errors import TermLimitError
 
 
@@ -97,18 +98,33 @@ def test_basis_checks_ignore_trials_and_seed(capsys, monkeypatch):
 
 
 def test_harmonic_checks_ignore_trials_and_seed(capsys, monkeypatch):
-    # The examples checks on harmonic inputs sweep the derived harmonic
-    # basis, so a failure names the same basis field whatever --trials
-    # and --seed say.
+    # Every examples check sweeps a fixed list of cases built from the
+    # monomial and harmonic bases, so the whole report, failures
+    # included, is the same whatever --trials and --seed say.
     _drop_curl_signs(monkeypatch)
-    swept = ("FAIL third-order products vanish on harmonic inputs:",
-             "FAIL curl of curl equals grad of div on vector harmonics:")
-    fails = []
+    outs = []
     for trials, seed in [(1, 0), (100, 7)]:
         assert main(["verify", "--suite", "examples", "--trials", str(trials), "--seed", str(seed)]) == 3
-        fails.append([line for line in capsys.readouterr().out.splitlines() if line.startswith(swept)])
-    assert len(fails[0]) == 2
-    assert fails[0] == fails[1]
+        outs.append(capsys.readouterr().out)
+    assert "FAIL iterate order ladder: curling of VectorField(f1=-x2, f2=x1, f3=0): got Order(n=1)" in outs[0]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("degree", [0, 4, 6])
+def test_order_ladder_follows_the_degree(degree, monkeypatch):
+    # The ladder's highest-order fields are r^4 h for h of degree --degree.
+    swept = {}
+    each = verify._each
+
+    def recording_each(name, cases, violation):
+        swept[name] = cases
+        return each(name, cases, violation)
+
+    monkeypatch.setattr(verify, "_each", recording_each)
+    verify.run_suite("examples", degree=degree)
+    ladder = swept["iterate order ladder"]
+    harmonic = [field for kind, field, _ in ladder if kind is CollectionKind.HARMONIC]
+    assert max(f.degree() for f in harmonic) == degree + 4
 
 
 def test_oracle_suite_passes_where_cubic_error_exceeds_old_floor():
