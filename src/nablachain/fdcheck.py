@@ -1,20 +1,18 @@
 """Central-difference oracle, independent of the exact engine.
 
-The whole point of this module is to distrust ``fields``: derivatives
-are estimated only from point samples, so agreement between the two
-routes checks both at once.  ``cross_check`` is the only entry: its
-sampled route starts from the field's ``eval_float`` and chains
-``_fd_apply`` over the operators, after ``apply_chain`` has already
-rejected a meaningless chain or a wrong sort.  There is one stencil, a
-column: along axis k it samples the field at ``p + h e_k`` and
-``p - h e_k`` and takes the symmetric quotient
-``(f(p + h e) - f(p - h e)) / 2h`` of every component.  grad, curl and
+This module distrusts ``fields``: derivatives are estimated only from
+point samples, so agreement between the two routes checks both at once.
+``cross_check`` is the only entry: once ``apply_chain`` has rejected a
+meaningless chain or a wrong sort, it samples the field and the exact
+result through ``_float_evaluator``, the package's only float code, and
+chains ``_fd_apply`` over the operators.  There is one stencil, a
+column: along axis k it takes the symmetric quotient
+``(f(p + h e_k) - f(p - h e_k)) / 2h`` of every component.  grad, curl and
 div are read off the three columns, six samples in all, with an O(h^2)
 truncation error.  Nesting two quotients divides machine epsilon by h^2,
 so length-two chains are judged against a relaxed relative tolerance,
-and chains longer than two are refused rather than checked badly.
-Every component of every sample, exact or numeric, must be finite; a
-non-finite value or a float overflow raises NumericalFailureError.
+and chains longer than two are refused rather than checked badly.  Any
+non-finite sample or float overflow raises NumericalFailureError.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .errors import DepthUnsupportedError, NumericalFailureError
-from .fields import FieldValue, apply_chain
+from .fields import FieldValue, VectorField, apply_chain
 from .operators import Chain, Operator
 
 Point = tuple[float, float, float]
@@ -55,6 +53,27 @@ class FdConfig:
     def tolerance(self, exact: float, depth: int = 1) -> float:
         rel = DEPTH2_REL_TOL if depth >= 2 else REL_TOL
         return max(rel * abs(exact), self.abs_floor)
+
+
+def _float_evaluator(field: FieldValue) -> Callable[[Point], Sample]:
+    """The field in floats, coefficients converted once; terms added in order, not by (compensating) ``sum``."""
+    vector = isinstance(field, VectorField)
+    try:
+        tables = [[(float(c), *e) for e, c in p.terms.items()] for p in (field.components if vector else (field,))]
+    except OverflowError as exc:
+        raise NumericalFailureError(f"coefficient out of float range: {exc}") from exc
+
+    def evaluate(point: Point) -> Sample:
+        x1, x2, x3 = [float(v) for v in point]
+        values = []
+        for terms in tables:
+            total = 0.0
+            for c, e1, e2, e3 in terms:
+                total += c * x1**e1 * x2**e2 * x3**e3
+            values.append(total)
+        return tuple(values) if vector else values[0]
+
+    return evaluate
 
 
 def _shifted(point: Point, axis: int, delta: float) -> Point:
@@ -137,13 +156,13 @@ def cross_check(
             f"numeric route supports chains of length <= 2, got {depth}"
         )
     exact = apply_chain(c, field)
-    numeric = field.eval_float
+    exact_float, numeric = _float_evaluator(exact), _float_evaluator(field)
     for op in reversed(c.ops):
         numeric = _fd_apply(op, numeric, cfg.h)
 
     rows = []
     for point in points:
-        exact_value = _sample(exact.eval_float, point)
+        exact_value = _sample(exact_float, point)
         numeric_value = _sample(numeric, point)
         for want, got in zip(exact_value, numeric_value):
             deviation = abs(got - want)

@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import (
     FieldFormatError,
@@ -251,14 +251,6 @@ class Polynomial:
             total += c * x1**e1 * x2**e2 * x3**e3
         return total
 
-    def eval_float(self, point) -> float:
-        """Floating-point evaluation, for the finite-difference oracle."""
-        x1, x2, x3 = (float(v) for v in point)
-        total = 0.0
-        for (e1, e2, e3), c in self._terms.items():
-            total += float(c) * x1**e1 * x2**e2 * x3**e3
-        return total
-
     def __repr__(self) -> str:
         if not self._terms:
             return "0"
@@ -306,9 +298,6 @@ class VectorField:
     def is_zero(self) -> bool:
         return self.f1.is_zero and self.f2.is_zero and self.f3.is_zero
 
-    def __iter__(self) -> Iterator[Polynomial]:
-        return iter(self.components)
-
     def __add__(self, other) -> VectorField:
         if not isinstance(other, VectorField):
             return NotImplemented
@@ -334,13 +323,6 @@ class VectorField:
 
     def eval(self, point) -> tuple[Fraction, Fraction, Fraction]:
         return (self.f1.eval(point), self.f2.eval(point), self.f3.eval(point))
-
-    def eval_float(self, point) -> tuple[float, float, float]:
-        return (
-            self.f1.eval_float(point),
-            self.f2.eval_float(point),
-            self.f3.eval_float(point),
-        )
 
 
 FieldValue = Union[Polynomial, VectorField]

@@ -15,18 +15,18 @@ themselves; an operator slip is caught by the other three suites
 (``tests/test_mutants.py``).
 
 Claims closed under linear combination are checked on a basis over
-degrees 0..degree, which proves them for every field of those degrees,
-and ignore trials and seed.  The monomials (``corpus.monomials``) carry
-both annihilations, the decomposition, the third-order zeros, the
-multiplication identities and classifier agreement (a length-n chain
-on the degree-n monomials); the harmonic basis
-(``corpus.harmonic_basis``), scalar and in each vector slot, carries
-the harmonic claims of ``examples``.  ``iterate order ladder`` ("exact
-order" is not linear) sweeps cases built from them: r^(2(k-1)) h for
-each basis h and k = 1, 2, 3, of order exactly k by Almansi's theorem,
-so ``examples`` draws nothing.  ``chain linearity``, which licenses the
-linear sweeps, and the degree steps ("exactly one lower" is not closed
-under sums) stay sampled.
+degrees 0..degree, which proves them for every field of those degrees.
+The monomials (``corpus.monomials``) carry both annihilations, the
+decomposition, the third-order zeros, the degree steps (grad's "exactly
+one lower" as Euler's x . grad m == d m, which is linear), the
+multiplication identities and classifier agreement (a length-n chain on
+the degree-n monomials); the harmonic basis (``corpus.harmonic_basis``),
+scalar and in each vector slot, carries the harmonic claims of
+``examples``.  ``iterate order ladder`` ("exact order" is not linear)
+sweeps cases built from them: r^(2(k-1)) h for each basis h and
+k = 1, 2, 3, of order exactly k by Almansi's theorem.  Trials and seed
+steer only ``chain linearity``, which licenses the sweeps, and the
+oracle's draws.
 
 Every check runs through one runner,
 ``_sweep(name, seed, reps, draw, violation)``, the only code here that
@@ -172,19 +172,18 @@ def _degree(field: FieldValue) -> int:
     return max(comp.degree() for comp in field.components)
 
 
-def _check_degree_step(op: Operator, trials: int, seed: int, degree: int) -> CheckResult:
-    """grad lowers a nonconstant scalar's degree by exactly one; curl and div by at least one."""
+def _check_degree_step(op: Operator, basis: list[FieldValue]) -> CheckResult:
+    """op lowers each monomial's degree d by at least one; grad by exactly one, as x . grad m == d m (Euler)."""
+    x1, x2, x3 = (Polynomial.variable(axis) for axis in (1, 2, 3))
 
-    def violation(field):
-        out = apply_chain(chain(op), field)
+    def violation(m):
+        out = apply_chain(chain(op), m)
+        holds = out.is_zero or _degree(out) <= _degree(m) - 1
         if op is Operator.GRAD:
-            holds = field.degree() < 1 or (not out.is_zero and _degree(out) == field.degree() - 1)
-        else:
-            holds = out.is_zero or _degree(out) <= _degree(field) - 1
-        return None if holds else f"{'f' if op is Operator.GRAD else 'v'} = {field!r}"
+            holds = holds and x1 * out.f1 + x2 * out.f2 + x3 * out.f3 == _degree(m) * m
+        return None if holds else f"{'f' if op is Operator.GRAD else 'v'} = {m!r}"
 
-    return _sweep(f"degree step {op.value}", seed, trials,
-                  lambda rng, i: _draw_field(rng, op.domain, degree), violation)
+    return _each(f"degree step {op.value}", basis, violation)
 
 
 def _basis(sort: Sort, degree: int) -> list[FieldValue]:
@@ -228,7 +227,7 @@ def run_identities(trials: int, seed: int, degree: int) -> list[CheckResult]:
                 f"third-order zero: {format_chain(c)}", basis[c.innermost.domain],
                 lambda field: None if apply_chain(c, field).is_zero else f"input = {field!r}",
             ))
-    results += [_check_degree_step(op, trials, seed, degree) for op in Operator]
+    results += [_check_degree_step(op, basis[op.domain]) for op in Operator]
     return results
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -109,12 +110,21 @@ def test_fd_first_order_sort_mismatch():
 
 
 def test_cross_check_rejects_a_wrong_sort_before_sampling(monkeypatch):
-    # apply_chain's sort check is the only one: curl of a scalar samples nothing.
+    # apply_chain's sort check is the only one: curl of a scalar builds no sampler.
     calls = []
-    monkeypatch.setattr(Polynomial, "eval_float", lambda self, point: calls.append(point))
+    monkeypatch.setattr(fdcheck, "_float_evaluator", lambda field: calls.append(field))
     with pytest.raises(SortMismatchError):
         cross_check(Chain((C,)), x1, [(0.0, 0.0, 0.0)])
     assert calls == []
+
+
+def test_float_evaluator_adds_the_terms_in_stored_order():
+    # Exactly the literal expression: one float per coefficient, terms summed left to right.
+    third = Fraction(1, 3)
+    p = Polynomial({(2, 1, 0): third, (0, 0, 3): -2})
+    assert fdcheck._float_evaluator(p)((1, 2, 3)) == 0.0 + float(third) * 1.0**2 * 2.0**1 + -2.0 * 3.0**3
+    v = VectorField(x1 * x2, Polynomial({(0, 0, 1): Fraction(2, 7)}), Polynomial.zero())
+    assert fdcheck._float_evaluator(v)((0.5, 4, -1)) == (0.5 * 4.0, float(Fraction(2, 7)) * -1.0, 0.0)
 
 
 def test_non_finite_samples_are_reported():
@@ -185,13 +195,27 @@ def test_float_overflow_is_a_numerical_failure():
         cross_check(Chain((G,)), Polynomial({(200, 0, 0): 1}), [(40.0, 0.0, 0.0)])
 
 
+@pytest.mark.parametrize(
+    "op, field",
+    [
+        (G, Polynomial({(1, 0, 0): 10**400})),
+        (C, VectorField(x1, Polynomial({(0, 0, 1): 10**400}), x3)),
+    ],
+    ids=["grad", "curl"],
+)
+def test_coefficient_past_the_float_range_is_a_numerical_failure(op, field):
+    with pytest.raises(NumericalFailureError):
+        cross_check(Chain((op,)), field, [(0.0, 0.0, 0.0)])
+
+
 def test_curl_samples_its_field_six_times():
     # One column per axis, each sampled once above and once below the point.
     calls = []
+    sample = fdcheck._float_evaluator(rot)
 
     def evaluate(point):
         calls.append(point)
-        return rot.eval_float(point)
+        return sample(point)
 
     got = fdcheck._fd_apply(C, evaluate, FdConfig().h)((0.5, 0.5, 0.5))
     assert len(calls) == 6

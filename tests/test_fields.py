@@ -283,12 +283,6 @@ def test_eval_is_exact_on_rationals():
     assert p.eval((Fraction(1, 7), 0, 0)) == Fraction(1, 21)
 
 
-def test_eval_float():
-    assert (x1 * x2).eval_float((0.5, 4.0, 0.0)) == pytest.approx(2.0)
-    v = VectorField(x1, x2, x3)
-    assert v.eval_float((1.0, 2.0, 3.0)) == pytest.approx((1.0, 2.0, 3.0))
-
-
 # -- vector field algebra ----------------------------------------------------
 
 
@@ -299,7 +293,7 @@ def test_vector_field_operations():
     assert -u == VectorField(-x1, -x2, -x3)
     assert 2 * u == VectorField(2 * x1, 2 * x2, 2 * x3)
     assert x1 * u == u * x1
-    assert list(u) == [x1, x2, x3]
+    assert u.components == (x1, x2, x3)
     assert not u.is_zero
     assert VectorField.zero().is_zero
 

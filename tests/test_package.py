@@ -54,3 +54,10 @@ def test_all_names_the_public_attributes():
 def test_removed_spellings_are_gone(name, module):
     assert not hasattr(nablachain, name)
     assert not hasattr(importlib.import_module(f"nablachain.{module}"), name)
+
+
+def test_fields_evaluate_only_exactly():
+    # Float sampling lives in fdcheck alone; a VectorField's components are read as .components.
+    assert not hasattr(nablachain.Polynomial, "eval_float")
+    assert not hasattr(nablachain.VectorField, "eval_float")
+    assert not hasattr(nablachain.VectorField, "__iter__")
